@@ -14,6 +14,9 @@ const char* kCmpOps[] = {"=", "<>", "<", "<=", ">", ">="};
 const char* kSetCmpOps[] = {"subset", "subseteq", "supset",
                             "supseteq", "=", "<>"};
 const char* kSetBinOps[] = {"union", "intersect", "minus"};
+/// Chance that two neighbouring base-table ranges of a multi-range block
+/// are linked by an equality of int attributes (a join chain).
+constexpr double kRangeEqProb = 0.5;
 
 }  // namespace
 
@@ -105,7 +108,7 @@ QueryGenerator::RangeChoice QueryGenerator::GenRange(int depth,
   // Default: a base table.
   const std::string& t = tables_[static_cast<size_t>(
       rng_.Uniform(0, static_cast<int64_t>(tables_.size()) - 1))];
-  return {t, db_.FindTable(t)->row_type()};
+  return {t, db_.FindTable(t)->row_type(), true};
 }
 
 // ---------------------------------------------------------------------------
@@ -348,15 +351,33 @@ std::string QueryGenerator::GenSelect(int depth, const Scope& outer) {
     nranges = static_cast<int>(rng_.Uniform(2, opts_.max_ranges));
   }
   std::vector<std::string> range_texts;
-  std::vector<std::string> range_vars;
+  std::vector<std::string> range_eqs;
+  int prev_table = -1;  // scope index of the last int-keyed table range
   for (int i = 0; i < nranges; ++i) {
     RangeChoice r = GenRange(depth, scope);
     std::string v = FreshVar();
     // Ranges may reference earlier variables of the same from-clause
     // (dependent ranges, e.g. `from x in F0, z in x.c`).
     scope.push_back({v, r.element});
-    range_vars.push_back(v);
     range_texts.push_back(v + " in " + r.text);
+    if (!r.base_table) continue;
+    // Independent ranges: sometimes link this one to the previous
+    // table range, so the block is a join chain for Rule 2.
+    std::vector<std::string> ints = FieldsOfKind(r.element, Type::Kind::kInt);
+    if (prev_table >= 0 && !ints.empty() &&
+        rng_.Bernoulli(kRangeEqProb)) {
+      const Binding& prev = scope[static_cast<size_t>(prev_table)];
+      std::vector<std::string> prev_ints =
+          FieldsOfKind(prev.type, Type::Kind::kInt);
+      range_eqs.push_back(
+          prev.name + "." +
+          prev_ints[static_cast<size_t>(rng_.Uniform(
+              0, static_cast<int64_t>(prev_ints.size()) - 1))] +
+          " = " + v + "." +
+          ints[static_cast<size_t>(
+              rng_.Uniform(0, static_cast<int64_t>(ints.size()) - 1))]);
+    }
+    if (!ints.empty()) prev_table = static_cast<int>(scope.size()) - 1;
   }
 
   // Optional with-bound local subquery (macro-expanded by the parser).
@@ -373,9 +394,12 @@ std::string QueryGenerator::GenSelect(int depth, const Scope& outer) {
 
   std::string text = "select " + GenBody(depth, scope) + " from " +
                      Join(range_texts, ", ");
+  std::vector<std::string> conjuncts = range_eqs;
   if (rng_.Bernoulli(opts_.where_prob)) {
-    text += " where " + GenPred(depth, scope);
+    std::string pred = GenPred(depth, scope);
+    conjuncts.push_back(range_eqs.empty() ? pred : "(" + pred + ")");
   }
+  if (!conjuncts.empty()) text += " where " + Join(conjuncts, " and ");
   if (use_with) text += " with " + with_name + " = " + with_def;
   return text;
 }

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "adl/analysis.h"
+#include "adl/typecheck.h"
 #include "common/str_util.h"
 #include "exec/equi_join.h"
 #include "stats/cardinality.h"
@@ -128,46 +129,49 @@ Choice ChooseJoin(const Database& db, const PlannerOptions& po,
   return best;
 }
 
-// ---- Join-order DP over base-table equi-join chains -----------------
+// ---- Join-order DP over equi-join chains ------------------------------
 
 struct ChainPred {
-  size_t lt = 0, rt = 0;     // table indexes (lt on the original left)
+  size_t lt = 0, rt = 0;     // leaf indexes (lt on the original left)
   std::string la, ra;        // their attributes
 };
 
+/// The leaves of a join tree are its maximal non-join operands: base
+/// tables, or relational subexpressions such as the projected ranges
+/// Rule 2 builds.
 struct Chain {
-  std::vector<std::string> tables;  // original left-to-right order
+  std::vector<ExprPtr> leaves;  // original left-to-right order
+  std::vector<std::vector<std::string>> schemas;
   std::vector<ChainPred> preds;
 };
 
-/// Index of the table in [from, to) owning `attr`, or SIZE_MAX.
-size_t OwnerOf(const Database& db, const Chain& ch, size_t from, size_t to,
+/// Index of the leaf in [from, to) owning `attr`, or SIZE_MAX.
+size_t OwnerOf(const Chain& ch, size_t from, size_t to,
                const std::string& attr) {
   for (size_t i = from; i < to; ++i) {
-    const Table* t = db.FindTable(ch.tables[i]);
-    if (t != nullptr && t->row_type()->is_tuple() &&
-        t->row_type()->FindField(attr) != nullptr) {
-      return i;
-    }
+    const std::vector<std::string>& s = ch.schemas[i];
+    if (std::find(s.begin(), s.end(), attr) != s.end()) return i;
   }
   return SIZE_MAX;
 }
 
-/// Flattens a pure equi-join tree over base tables into `ch`. Every
-/// predicate must be a conjunction of attr = attr equalities between
-/// the two sides; anything else (residuals, outer variables, computed
-/// keys) disqualifies the chain.
+/// Flattens a pure equi-join tree into `ch`. Every leaf must be a closed
+/// set of tuples, and every predicate a conjunction of attr = attr
+/// equalities between the two sides; anything else (residuals, outer
+/// variables, computed keys) disqualifies the chain.
 bool CollectChain(const Database& db, const ExprPtr& e, Chain* ch) {
-  if (e->kind() == ExprKind::kGetTable) {
-    const Table* t = db.FindTable(e->name());
-    if (t == nullptr || !t->row_type()->is_tuple()) return false;
-    ch->tables.push_back(e->name());
+  if (e->kind() != ExprKind::kJoin) {
+    TypeChecker checker(db.schema(), &db);
+    TypeEnv env;
+    Result<std::vector<std::string>> schema = checker.SchemaOf(e, env);
+    if (!schema.ok()) return false;
+    ch->leaves.push_back(e);
+    ch->schemas.push_back(*std::move(schema));
     return true;
   }
-  if (e->kind() != ExprKind::kJoin) return false;
-  size_t l0 = ch->tables.size();
+  size_t l0 = ch->leaves.size();
   if (!CollectChain(db, e->left(), ch)) return false;
-  size_t r0 = ch->tables.size();
+  size_t r0 = ch->leaves.size();
   if (!CollectChain(db, e->right(), ch)) return false;
   for (const ExprPtr& c : SplitConjuncts(e->pred())) {
     if (c->kind() != ExprKind::kBinary || c->bin_op() != BinOp::kEq) {
@@ -181,24 +185,22 @@ bool CollectChain(const Database& db, const ExprPtr& e, Chain* ch) {
       a1 = PlainAttr(c->child(0), e->var2());
     }
     if (a0 == nullptr || a1 == nullptr) return false;
-    size_t lt = OwnerOf(db, *ch, l0, r0, *a0);
-    size_t rt = OwnerOf(db, *ch, r0, ch->tables.size(), *a1);
+    size_t lt = OwnerOf(*ch, l0, r0, *a0);
+    size_t rt = OwnerOf(*ch, r0, ch->leaves.size(), *a1);
     if (lt == SIZE_MAX || rt == SIZE_MAX) return false;
     ch->preds.push_back(ChainPred{lt, rt, *a0, *a1});
   }
   return true;
 }
 
-/// All attribute names unique across the chain's tables — required both
+/// All attribute names unique across the chain's leaves — required both
 /// for unambiguous predicate resolution and for the original plan to
 /// have evaluated at all (tuple concat rejects duplicates).
-bool AttrsUnique(const Database& db, const Chain& ch) {
+bool AttrsUnique(const Chain& ch) {
   std::set<std::string> seen;
-  for (const std::string& name : ch.tables) {
-    const Table* t = db.FindTable(name);
-    if (t == nullptr) return false;
-    for (const TypeField& f : t->row_type()->fields()) {
-      if (!seen.insert(f.name).second) return false;
+  for (const std::vector<std::string>& schema : ch.schemas) {
+    for (const std::string& f : schema) {
+      if (!seen.insert(f).second) return false;
     }
   }
   return true;
@@ -213,22 +215,17 @@ struct DpEntry {
 class ChainPlanner {
  public:
   ChainPlanner(const Database& db, const PlannerOptions& po, const Chain& ch)
-      : db_(db), po_(po), ch_(ch) {
-    size_t n = ch.tables.size();
-    rows_.resize(n);
-    stats_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      stats_[i] = db.stats().Get(db, ch.tables[i]);
-      rows_[i] = stats_[i] != nullptr
-                     ? static_cast<double>(stats_[i]->row_count)
-                     : kDefaultRows;
+      : db_(db), po_(po), ch_(ch), est_(db) {
+    for (const ExprPtr& leaf : ch.leaves) {
+      leaf_est_.push_back(&est_.Estimate(leaf));
+      rows_.push_back(leaf_est_.back()->RowsOr(kDefaultRows));
     }
   }
 
   /// Cheapest left-deep order, or an empty vector when the join graph
   /// is not stepwise connected.
   DpEntry Best() const {
-    size_t n = ch_.tables.size();
+    size_t n = ch_.leaves.size();
     std::vector<DpEntry> best(size_t(1) << n);
     for (size_t i = 0; i < n; ++i) {
       DpEntry& e = best[size_t(1) << i];
@@ -244,7 +241,10 @@ class ChainPlanner {
         const DpEntry& p = best[prev];
         if (p.cost == kInf) continue;
         double step_rows, step_cost;
-        if (!Step(prev, t, p.rows, &step_rows, &step_cost)) continue;
+        if (!Step(prev, p.rows, size_t(1) << t, rows_[t], &step_rows,
+                  &step_cost)) {
+          continue;
+        }
         double cost = p.cost + step_cost;
         DpEntry& dst = best[mask];
         if (cost < dst.cost) {
@@ -258,45 +258,64 @@ class ChainPlanner {
     return best[best.size() - 1];
   }
 
-  /// Cost of a given left-deep order through the same step model
-  /// (kInf when some step is disconnected).
-  double OrderCost(const std::vector<size_t>& order) const {
-    double cost = 0.0;
-    double rows = rows_[order[0]];
-    size_t mask = size_t(1) << order[0];
-    for (size_t k = 1; k < order.size(); ++k) {
-      double step_rows, step_cost;
-      if (!Step(mask, order[k], rows, &step_rows, &step_cost)) return kInf;
-      cost += step_cost;
-      rows = step_rows;
-      mask |= size_t(1) << order[k];
-    }
-    return cost;
+  /// Cost of the tree as written (left-deep, right-deep or bushy)
+  /// through the same step model; kInf when some join is disconnected.
+  /// Leaves are numbered in CollectChain's left-to-right order.
+  double TreeCost(const ExprPtr& e) const {
+    size_t next = 0;
+    return SubtreeCost(e, &next).cost;
   }
 
  private:
-  const AttrStats* AttrOf(size_t table, const std::string& attr) const {
-    return stats_[table] != nullptr ? stats_[table]->Find(attr) : nullptr;
+  const AttrStats* AttrOf(size_t leaf, const std::string& attr) const {
+    return leaf_est_[leaf]->Find(attr);
   }
 
-  /// Prices joining table `t` onto the accumulated set `prev_mask`
-  /// (estimated `prev_rows` rows). False when no predicate connects
-  /// them (cross products are never enumerated).
-  bool Step(size_t prev_mask, size_t t, double prev_rows, double* out_rows,
-            double* out_cost) const {
+  struct Subtree {
+    size_t mask = 0;
+    double rows = 0.0;
+    double cost = kInf;
+  };
+
+  Subtree SubtreeCost(const ExprPtr& e, size_t* next) const {
+    if (e->kind() != ExprKind::kJoin) {
+      size_t i = (*next)++;
+      return {size_t(1) << i, rows_[i], 0.0};
+    }
+    Subtree l = SubtreeCost(e->left(), next);
+    Subtree r = SubtreeCost(e->right(), next);
+    Subtree out{l.mask | r.mask, 0.0, kInf};
+    double step_cost;
+    if (l.cost != kInf && r.cost != kInf &&
+        Step(l.mask, l.rows, r.mask, r.rows, &out.rows, &step_cost)) {
+      out.cost = l.cost + r.cost + step_cost;
+    }
+    return out;
+  }
+
+  /// Prices joining the leaves in `right_mask` (estimated `right_rows`
+  /// rows) onto those in `left_mask` (`left_rows` rows). False when no
+  /// predicate connects them (cross products are never enumerated).
+  bool Step(size_t left_mask, double left_rows, size_t right_mask,
+            double right_rows, double* out_rows, double* out_cost) const {
+    auto in = [](size_t mask, size_t leaf) {
+      return (mask & (size_t(1) << leaf)) != 0;
+    };
     double fan = kInf;
     size_t npreds = 0;
     bool index_ok = false;
     for (const ChainPred& p : ch_.preds) {
-      size_t other;
+      size_t other, t;
       const std::string *oa, *ta;
-      if (p.lt == t && (prev_mask & (size_t(1) << p.rt)) != 0) {
+      if (in(right_mask, p.lt) && in(left_mask, p.rt)) {
         other = p.rt;
         oa = &p.ra;
+        t = p.lt;
         ta = &p.la;
-      } else if (p.rt == t && (prev_mask & (size_t(1) << p.lt)) != 0) {
+      } else if (in(right_mask, p.rt) && in(left_mask, p.lt)) {
         other = p.lt;
         oa = &p.la;
+        t = p.rt;
         ta = &p.ra;
       } else {
         continue;
@@ -308,21 +327,23 @@ class ChainPlanner {
       double d_t = ts != nullptr && ts->scalar
                        ? static_cast<double>(std::max<uint64_t>(1, ts->distinct))
                        : std::max(1.0, rows_[t]);
-      fan = std::min(fan, match * rows_[t] / d_t);
-      index_ok = npreds == 1 &&
-                 db_.FindIndex(ch_.tables[t], *ta) != nullptr;
+      fan = std::min(fan, match * right_rows / d_t);
+      const ExprPtr& leaf = ch_.leaves[t];
+      index_ok = npreds == 1 && right_mask == (size_t(1) << t) &&
+                 leaf->kind() == ExprKind::kGetTable &&
+                 db_.FindIndex(leaf->name(), *ta) != nullptr;
     }
     if (npreds == 0) return false;
-    *out_rows = prev_rows * fan;
+    *out_rows = left_rows * fan;
     const CostConstants& c = po_.costs;
     double cost =
-        std::min(HashJoinCost(prev_rows, rows_[t], *out_rows, c),
-                 SortMergeJoinCost(prev_rows, rows_[t], *out_rows, c));
+        std::min(HashJoinCost(left_rows, right_rows, *out_rows, c),
+                 SortMergeJoinCost(left_rows, right_rows, *out_rows, c));
     cost = std::min(cost,
-                    NestedLoopJoinCost(prev_rows, rows_[t], *out_rows, c));
+                    NestedLoopJoinCost(left_rows, right_rows, *out_rows, c));
     if (index_ok) {
       cost = std::min(cost,
-                      IndexJoinCost(prev_rows, *out_rows, *out_rows, c));
+                      IndexJoinCost(left_rows, *out_rows, *out_rows, c));
     }
     *out_cost = cost;
     return true;
@@ -331,17 +352,17 @@ class ChainPlanner {
   const Database& db_;
   const PlannerOptions& po_;
   const Chain& ch_;
+  /// Owns the leaf estimates and pins the stats snapshots they borrow
+  /// from for the planning pass's lifetime.
+  CardinalityEstimator est_;
+  std::vector<const RelEstimate*> leaf_est_;
   std::vector<double> rows_;
-  /// Pinned snapshots: the planner's borrowed AttrStats survive any
-  /// concurrent catalog refresh for the planning pass's lifetime.
-  std::vector<std::shared_ptr<const ExtentStats>> stats_;
 };
 
 /// Rebuilds the chain as a left-deep join tree in `order`, wrapped in a
 /// map that restores the original attribute order so the result is
 /// bit-identical to the original plan's.
-ExprPtr RebuildChain(const Database& db, const Chain& ch,
-                     const std::vector<size_t>& order,
+ExprPtr RebuildChain(const Chain& ch, const std::vector<size_t>& order,
                      const ExprPtr& original) {
   std::set<std::string> used = AllVars(original);
   auto fresh = [&used](const std::string& hint) {
@@ -354,7 +375,7 @@ ExprPtr RebuildChain(const Database& db, const Chain& ch,
 
   std::vector<bool> placed(ch.preds.size(), false);
   size_t in_acc_mask = size_t(1) << order[0];
-  ExprPtr acc = Expr::Table(ch.tables[order[0]]);
+  ExprPtr acc = ch.leaves[order[0]];
   for (size_t k = 1; k < order.size(); ++k) {
     size_t t = order[k];
     std::string lv = fresh("jo_l");
@@ -377,20 +398,20 @@ ExprPtr RebuildChain(const Database& db, const Chain& ch,
       conjuncts.push_back(Expr::Eq(Expr::Access(Expr::Var(lv), *acc_attr),
                                    Expr::Access(Expr::Var(rv), *t_attr)));
     }
-    acc = Expr::Join(std::move(acc), Expr::Table(ch.tables[t]), lv, rv,
+    acc = Expr::Join(std::move(acc), ch.leaves[t], lv, rv,
                      Expr::AndAll(conjuncts));
     in_acc_mask |= size_t(1) << t;
   }
 
   // Restore the original field order: the original tree's output tuple
-  // is the left-to-right concatenation of the base tables' attributes.
+  // is the left-to-right concatenation of the leaves' attributes.
   std::string z = fresh("jo_z");
   std::vector<std::string> names;
   std::vector<ExprPtr> values;
-  for (const std::string& tname : ch.tables) {
-    for (const TypeField& f : db.FindTable(tname)->row_type()->fields()) {
-      names.push_back(f.name);
-      values.push_back(Expr::Access(Expr::Var(z), f.name));
+  for (const std::vector<std::string>& schema : ch.schemas) {
+    for (const std::string& f : schema) {
+      names.push_back(f);
+      values.push_back(Expr::Access(Expr::Var(z), f));
     }
   }
   return Expr::Map(z, Expr::TupleConstruct(std::move(names),
@@ -403,19 +424,18 @@ ExprPtr TryReorder(const Database& db, const PlannerOptions& po,
                    const ExprPtr& e) {
   Chain ch;
   if (!CollectChain(db, e, &ch)) return nullptr;
-  if (ch.tables.size() < 3 || ch.tables.size() > kMaxDpTables) return nullptr;
-  if (!AttrsUnique(db, ch)) return nullptr;
+  if (ch.leaves.size() < 3 || ch.leaves.size() > kMaxDpTables) return nullptr;
+  if (!AttrsUnique(ch)) return nullptr;
 
   ChainPlanner cp(db, po, ch);
   DpEntry best = cp.Best();
   if (best.cost == kInf) return nullptr;
 
-  std::vector<size_t> identity(ch.tables.size());
-  for (size_t i = 0; i < identity.size(); ++i) identity[i] = i;
-  if (best.order == identity) return nullptr;
-  double orig = cp.OrderCost(identity);
+  // The original tree may be right-deep (Rule 2 builds those), so it is
+  // priced as written, not as the left-deep order of its leaves.
+  double orig = cp.TreeCost(e);
   if (orig != kInf && best.cost >= orig * kReorderGain) return nullptr;
-  return RebuildChain(db, ch, best.order, e);
+  return RebuildChain(ch, best.order, e);
 }
 
 ExprPtr ReorderTree(const Database& db, const PlannerOptions& po,

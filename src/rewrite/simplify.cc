@@ -97,6 +97,18 @@ ExprPtr SimplifyNode(const ExprPtr& e, RewriteContext& ctx) {
       break;
     }
 
+    case ExprKind::kFieldAccess: {
+      // (…, a = v, …).a = v — left behind when a selection moves below
+      // a map whose body is a tuple constructor.
+      const ExprPtr& in = e->child(0);
+      if (in->kind() == ExprKind::kTupleConstruct) {
+        for (size_t i = 0; i < in->names().size(); ++i) {
+          if (in->names()[i] == e->name()) return in->child(i);
+        }
+      }
+      break;
+    }
+
     case ExprKind::kUnary: {
       if (e->un_op() == UnOp::kNot) {
         const ExprPtr& a = e->child(0);

@@ -18,9 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -40,31 +42,42 @@ namespace {
 // Shared helpers
 // ---------------------------------------------------------------------
 
-/// Milliseconds per evaluation: repeats until >= min_ms accumulated,
-/// takes the minimum over `rounds` such measurements (minimum is the
-/// noise-robust statistic for "how fast can this plan run").
-double TimeMs(const std::function<void()>& fn, double min_ms = 15.0,
-              int rounds = 3) {
+/// Paired, interleaved timing. Each arm's iteration count is calibrated
+/// once so a timed run lasts at least `min_ms`; then each of `reps`
+/// rounds times every arm once, back to back, starting from a rotating
+/// arm so machine drift cannot favor one. Returns each arm's median
+/// milliseconds per evaluation: every arm gets the same statistic over
+/// the same rounds.
+std::vector<double> InterleavedMedianMs(
+    const std::vector<std::function<void()>>& arms, double min_ms = 10.0,
+    int reps = 7) {
   using Clock = std::chrono::steady_clock;
-  fn();  // warm-up
-  double best = -1.0;
-  for (int r = 0; r < rounds; ++r) {
-    int iters = 1;
-    for (;;) {
-      auto start = Clock::now();
-      for (int i = 0; i < iters; ++i) fn();
-      double elapsed =
-          std::chrono::duration<double, std::milli>(Clock::now() - start)
-              .count();
-      if (elapsed >= min_ms || iters > (1 << 20)) {
-        double per = elapsed / iters;
-        if (best < 0 || per < best) best = per;
-        break;
-      }
-      iters *= 2;
+  auto run = [](const std::function<void()>& fn, int iters) {
+    auto start = Clock::now();
+    for (int i = 0; i < iters; ++i) fn();
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+  };
+  std::vector<int> iters(arms.size(), 1);
+  for (size_t a = 0; a < arms.size(); ++a) {
+    arms[a]();  // warm-up
+    while (run(arms[a], iters[a]) < min_ms && iters[a] < (1 << 20)) {
+      iters[a] *= 2;
     }
   }
-  return best;
+  std::vector<std::vector<double>> samples(arms.size());
+  for (int r = 0; r < reps; ++r) {
+    for (size_t k = 0; k < arms.size(); ++k) {
+      size_t a = (static_cast<size_t>(r) + k) % arms.size();
+      samples[a].push_back(run(arms[a], iters[a]) / iters[a]);
+    }
+  }
+  std::vector<double> medians;
+  for (std::vector<double>& s : samples) {
+    std::sort(s.begin(), s.end());
+    medians.push_back(s[s.size() / 2]);
+  }
+  return medians;
 }
 
 Value MustEval(const Database& db, const ExprPtr& e,
@@ -388,17 +401,22 @@ TEST(OptimizerMeasuredChoice, WithinTenPercentOfBestAlternative) {
       }
       ASSERT_EQ(MustEval(*db, pp.root, planned_opts), expected);
 
+      // The planned execution is the last arm.
+      std::vector<std::function<void()>> arms;
+      for (const Alternative& alt : alts) {
+        arms.push_back([&] { MustEval(*db, plan, alt.opts); });
+      }
+      arms.push_back([&] { MustEval(*db, pp.root, planned_opts); });
+      std::vector<double> ms = InterleavedMedianMs(arms);
+      double planned_ms = ms.back();
       double best_ms = -1.0;
       std::string best;
-      for (const Alternative& alt : alts) {
-        double ms = TimeMs([&] { MustEval(*db, plan, alt.opts); });
-        if (best_ms < 0 || ms < best_ms) {
-          best_ms = ms;
-          best = alt.name;
+      for (size_t i = 0; i < alts.size(); ++i) {
+        if (best_ms < 0 || ms[i] < best_ms) {
+          best_ms = ms[i];
+          best = alts[i].name;
         }
       }
-      double planned_ms =
-          TimeMs([&] { MustEval(*db, pp.root, planned_opts); });
       // Acceptance: within 10% of the best physical alternative. The
       // 0.1 ms absolute guard absorbs scheduler jitter and fixed
       // per-query overhead on the sub-millisecond cells without

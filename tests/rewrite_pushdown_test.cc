@@ -75,16 +75,22 @@ TEST_F(PushdownTest, BothSidesOfARegularJoin) {
   EXPECT_TRUE(SelectsDirectlyOn(r.expr, "Y")) << AlgebraStr(r.expr);
 }
 
-TEST_F(PushdownTest, MultiRangePairingQueryUsesNestJoinAndStillPushes) {
-  // The surface form of the same query: the general select-clause body
-  // routes through the nestjoin; the x-only conjunct still pushes below
-  // it in a later round.
+TEST_F(PushdownTest, MultiRangePairingQueryUsesRule2AndStillPushes) {
+  // The surface form of the same query: Rule 2 turns the general
+  // select-clause body into a join of the projected ranges; the
+  // one-sided conjuncts of its predicate push below it in a later
+  // round.
   ExprPtr e = TranslateOrDie(
       *db_,
       "select (xa = x.a, ye = y.e) from x in X, y in Y "
       "where x.a = y.a and x.a > 0 and y.e > 1");
   RewriteResult r = CheckEquivalence(*db_, e);
-  EXPECT_TRUE(r.Fired("NestJoinRewrite")) << r.TraceToString();
+  EXPECT_TRUE(r.Fired("Rule2-MapNestingToJoin")) << r.TraceToString();
+  EXPECT_FALSE(r.Fired("NestJoinRewrite")) << r.TraceToString();
+  EXPECT_TRUE(r.Fired("PushJoinPredicate(left)")) << r.TraceToString();
+  EXPECT_TRUE(r.Fired("PushJoinPredicate(right)")) << r.TraceToString();
+  EXPECT_TRUE(SelectsDirectlyOn(r.expr, "X")) << AlgebraStr(r.expr);
+  EXPECT_TRUE(SelectsDirectlyOn(r.expr, "Y")) << AlgebraStr(r.expr);
 }
 
 TEST_F(PushdownTest, GroupAttributeConjunctStaysAboveNestJoin) {
