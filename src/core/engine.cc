@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <set>
 
 #include "adl/printer.h"
 #include "common/str_util.h"
@@ -22,13 +21,47 @@ double MsSince(int64_t t0_ns) {
   return static_cast<double>(MonotonicNanos() - t0_ns) / 1e6;
 }
 
-/// Collects the names of every base extent the expression scans.
-void CollectExtents(const ExprPtr& e, std::set<std::string>* out) {
+/// Adds every base table `e` scans to `out`, once each.
+void CollectTables(const Database& db, const ExprPtr& e,
+                   std::vector<const Table*>* out) {
   if (e == nullptr) return;
-  if (e->kind() == ExprKind::kGetTable) out->insert(e->name());
-  for (size_t i = 0; i < e->num_children(); ++i) {
-    CollectExtents(e->child(i), out);
+  if (e->kind() == ExprKind::kGetTable) {
+    const Table* t = db.FindTable(e->name());
+    if (t != nullptr && std::find(out->begin(), out->end(), t) == out->end()) {
+      out->push_back(t);
+    }
   }
+  for (size_t i = 0; i < e->num_children(); ++i) {
+    CollectTables(db, e->child(i), out);
+  }
+}
+
+std::shared_ptr<const PreparedQuery> Prepare(const Database& db,
+                                             ExprPtr translated, TypePtr type,
+                                             RewriteResult rewritten) {
+  auto q = std::make_shared<PreparedQuery>();
+  q->translated = std::move(translated);
+  q->type = std::move(type);
+  q->optimized = std::move(rewritten.expr);
+  q->trace = std::move(rewritten.trace);
+  std::string normalized = AlgebraStr(q->translated);
+  q->query_hash = Fnv1a(normalized.data(), normalized.size());
+  CollectTables(db, q->translated, &q->tables);
+  CollectTables(db, q->optimized, &q->tables);
+  std::sort(q->tables.begin(), q->tables.end(),
+            [](const Table* a, const Table* b) {
+              return a->name() < b->name();
+            });
+  return q;
+}
+
+/// Feeds the plan-cache counters; all three are touched every time, so
+/// they exist after the first query.
+void RecordPlanCacheOutcome(bool hit, bool replanned) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  reg.GetCounter("n2j_plan_cache_hits_total").Add(hit && !replanned);
+  reg.GetCounter("n2j_plan_cache_misses_total").Add(!hit);
+  reg.GetCounter("n2j_plan_cache_replans_total").Add(replanned);
 }
 
 // Estimated spans dominate the record size; a pathological plan with
@@ -38,9 +71,11 @@ constexpr size_t kMaxRecordedRoots = 16;
 /// Records one finished query (success or error) into the process-wide
 /// registry and the flight recorder. The per-algorithm join counters are
 /// fed with Add(0) too, so every instrument exists after the first query
-/// and Render() output is stable across workloads.
+/// and Render() output is stable across workloads. `q` is what the
+/// query was prepared into (null when that failed).
 void RecordQueryOutcome(const Result<QueryReport>& r, int64_t t_start_ns,
-                        const std::string& query_text, const Database& db,
+                        const std::string& query_text,
+                        const PreparedQuery* q, const Database& db,
                         const EvalOptions& eval_options,
                         const PlannerOptions& planner_options) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -88,11 +123,7 @@ void RecordQueryOutcome(const Result<QueryReport>& r, int64_t t_start_ns,
   rec.eval_ms = rep.eval_ms;
   rec.stats = rep.exec_stats;
   if (rep.result.is_set()) rec.rows_out = rep.result.set_size();
-  // Hash the translated algebra, not the text: two queries that differ
-  // only in OOSQL formatting hash identically.
-  std::string normalized =
-      rep.translated != nullptr ? AlgebraStr(rep.translated) : query_text;
-  rec.query_hash = Fnv1a(normalized.data(), normalized.size());
+  rec.query_hash = q->query_hash;
 
   if (rep.profile != nullptr) {
     for (const TraceSpan& s : rep.profile->spans()) {
@@ -111,13 +142,11 @@ void RecordQueryOutcome(const Result<QueryReport>& r, int64_t t_start_ns,
   // Per-extent drift: the stats snapshot the planner would price with
   // (Peek — never forces a collection scan) against the live extent
   // size. Only extents that have been analyzed at least once can drift.
-  std::set<std::string> extent_names;
-  CollectExtents(rep.translated, &extent_names);
   obs::DriftMonitor& drift = obs::DriftMonitor::Global();
-  for (const std::string& name : extent_names) {
+  for (const Table* t : q->tables) {
+    const std::string& name = t->name();
     std::shared_ptr<const ExtentStats> snap = db.stats().Peek(name);
-    const Table* t = db.FindTable(name);
-    if (snap == nullptr || t == nullptr) continue;
+    if (snap == nullptr) continue;
     obs::ExtentEstimate e;
     e.extent = name;
     e.est = snap->row_count;
@@ -162,6 +191,9 @@ std::string QueryReport::Explain() const {
       out += "  [" + a.rule + "] " + a.detail + "\n";
     }
   }
+  out += std::string("plan cache: ") +
+         (!plan_cache_hit ? "miss" : plan_replanned ? "replanned" : "hit") +
+         "\n";
   std::string compact = exec_stats.Compact();
   out += "stats:      " + (compact.empty() ? "(none)" : compact) + "\n";
   if (profile != nullptr) {
@@ -204,20 +236,35 @@ Result<RewriteResult> QueryEngine::Optimize(const ExprPtr& adl) const {
   return r;
 }
 
-Status QueryEngine::Execute(QueryReport* report) const {
+Result<std::shared_ptr<const CachedPlan>> QueryEngine::Plan(
+    const PreparedQuery& q) const {
+  auto cached = std::make_shared<CachedPlan>();
+  // Versions are read before planning, so a write racing the planner
+  // leaves the entry stale rather than wrongly fresh.
+  for (const Table* t : q.tables) {
+    cached->versions.emplace_back(t, t->version());
+  }
+  Planner planner(*db_, planner_options_);
+  N2J_ASSIGN_OR_RETURN(PhysicalPlan plan, planner.Plan(q.optimized));
+  cached->plan = std::make_shared<const PhysicalPlan>(std::move(plan));
+  return std::shared_ptr<const CachedPlan>(std::move(cached));
+}
+
+Status QueryEngine::Execute(const PreparedQuery& q,
+                            QueryReport* report) const {
+  report->translated = q.translated;
+  report->type = q.type;
+  report->optimized = q.optimized;
+  report->trace = q.trace;
   if (eval_options_.trace != nullptr) {
     eval_options_.trace->Clear();
   }
-  // Under the cost strategy, plan first: the evaluator executes the
-  // planner's (possibly join-reordered) tree and dispatches each
-  // join-family node on its pinned algorithm annotation.
-  ExprPtr to_run = report->optimized;
+  // Under the cost strategy the evaluator executes the planner's
+  // (possibly join-reordered) tree and dispatches each join-family node
+  // on its pinned algorithm annotation.
+  ExprPtr to_run = q.optimized;
   EvalOptions opts = eval_options_;
-  if (planner_options_.strategy == PlanStrategy::kCost) {
-    Planner planner(*db_, planner_options_);
-    N2J_ASSIGN_OR_RETURN(PhysicalPlan plan,
-                         planner.Plan(report->optimized));
-    report->plan = std::make_shared<const PhysicalPlan>(std::move(plan));
+  if (report->plan != nullptr) {
     to_run = report->plan->root;
     opts.plan = &report->plan->annotations;
   }
@@ -239,37 +286,64 @@ Status QueryEngine::Execute(QueryReport* report) const {
 
 Result<QueryReport> QueryEngine::Run(const std::string& oosql) const {
   int64_t t_start = MonotonicNanos();
+  std::shared_ptr<const PreparedQuery> prepared;
+  bool hit = false, replanned = false;
   Result<QueryReport> out = [&]() -> Result<QueryReport> {
-    N2J_ASSIGN_OR_RETURN(QueryReport report, Translate(oosql));
-    int64_t t_rewrite = MonotonicNanos();
-    N2J_ASSIGN_OR_RETURN(RewriteResult rewritten,
-                         Optimize(report.translated));
-    report.rewrite_ms = MsSince(t_rewrite);
-    report.optimized = rewritten.expr;
-    report.trace = std::move(rewritten.trace);
-    N2J_RETURN_IF_ERROR(Execute(&report));
+    const PlanCacheKey key{rewrite_options_, planner_options_,
+                           db_->catalog_epoch()};
+    PlanCache::Entry entry = plan_cache_.Find(oosql, key);
+    hit = entry.query != nullptr;
+    QueryReport report;
+    report.oosql = oosql;
+    if (!hit) {
+      N2J_ASSIGN_OR_RETURN(QueryReport front, Translate(oosql));
+      int64_t t_rewrite = MonotonicNanos();
+      N2J_ASSIGN_OR_RETURN(RewriteResult rewritten,
+                           Optimize(front.translated));
+      report.rewrite_ms = MsSince(t_rewrite);
+      entry.query = Prepare(*db_, std::move(front.translated),
+                            std::move(front.type), std::move(rewritten));
+    }
+    prepared = entry.query;
+    if (planner_options_.strategy == PlanStrategy::kCost &&
+        (entry.plan == nullptr || !entry.plan->Fresh())) {
+      replanned = hit;
+      N2J_ASSIGN_OR_RETURN(entry.plan, Plan(*entry.query));
+      if (replanned) plan_cache_.ReplacePlan(oosql, entry.query, entry.plan);
+    }
+    if (entry.plan != nullptr) report.plan = entry.plan->plan;
+    report.plan_cache_hit = hit;
+    report.plan_replanned = replanned;
+    N2J_RETURN_IF_ERROR(Execute(*entry.query, &report));
+    // Only queries that ran are cached; an error is redone every time.
+    if (!hit) plan_cache_.Insert(oosql, key, std::move(entry));
     return report;
   }();
-  RecordQueryOutcome(out, t_start, oosql, *db_, eval_options_,
-                     planner_options_);
+  RecordPlanCacheOutcome(hit, replanned);
+  RecordQueryOutcome(out, t_start, oosql, prepared.get(), *db_,
+                     eval_options_, planner_options_);
   return out;
 }
 
 Result<QueryReport> QueryEngine::RunAdl(const ExprPtr& adl) const {
   int64_t t_start = MonotonicNanos();
+  std::shared_ptr<const PreparedQuery> prepared;
   Result<QueryReport> out = [&]() -> Result<QueryReport> {
     QueryReport report;
-    report.translated = adl;
     int64_t t_rewrite = MonotonicNanos();
     N2J_ASSIGN_OR_RETURN(RewriteResult rewritten, Optimize(adl));
     report.rewrite_ms = MsSince(t_rewrite);
-    report.optimized = rewritten.expr;
-    report.trace = std::move(rewritten.trace);
-    N2J_RETURN_IF_ERROR(Execute(&report));
+    prepared = Prepare(*db_, adl, nullptr, std::move(rewritten));
+    if (planner_options_.strategy == PlanStrategy::kCost) {
+      N2J_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> plan,
+                           Plan(*prepared));
+      report.plan = plan->plan;
+    }
+    N2J_RETURN_IF_ERROR(Execute(*prepared, &report));
     return report;
   }();
-  RecordQueryOutcome(out, t_start, AlgebraStr(adl), *db_, eval_options_,
-                     planner_options_);
+  RecordQueryOutcome(out, t_start, AlgebraStr(adl), prepared.get(), *db_,
+                     eval_options_, planner_options_);
   return out;
 }
 

@@ -44,6 +44,66 @@ EquiJoinKeys ExtractEquiKeys(const ExprPtr& pred, const std::string& lvar,
   return out;
 }
 
+namespace {
+
+bool IsLeftAttr(const ExprPtr& e, const std::string& lvar) {
+  return e->kind() == ExprKind::kFieldAccess &&
+         e->child(0)->kind() == ExprKind::kVar &&
+         e->child(0)->name() == lvar;
+}
+
+}  // namespace
+
+MembershipKey ExtractMembershipKey(const ExprPtr& pred,
+                                   const std::string& lvar,
+                                   const std::string& rvar) {
+  MembershipKey out;
+  for (const ExprPtr& c : SplitConjuncts(pred)) {
+    if (!out.found && c->kind() == ExprKind::kBinary &&
+        c->bin_op() == BinOp::kIn) {
+      const ExprPtr& lhs = c->child(0);
+      const ExprPtr& rhs = c->child(1);
+      if (IsLeftAttr(rhs, lvar) && !IsFreeIn(lvar, lhs) &&
+          IsFreeIn(rvar, lhs)) {
+        out.right_key = lhs;
+        out.attr = rhs->name();
+        out.found = true;
+        continue;
+      }
+    }
+    // ∃v ∈ x.attr · k(v) = f(y)  (either orientation of the equality).
+    if (!out.found && c->kind() == ExprKind::kQuantifier &&
+        c->quant_kind() == QuantKind::kExists &&
+        IsLeftAttr(c->child(0), lvar) &&
+        c->child(1)->kind() == ExprKind::kBinary &&
+        c->child(1)->bin_op() == BinOp::kEq) {
+      const std::string& v = c->var();
+      ExprPtr a = c->child(1)->child(0);
+      ExprPtr b = c->child(1)->child(1);
+      bool a_elem = IsFreeIn(v, a) && !IsFreeIn(rvar, a) &&
+                    !IsFreeIn(lvar, a);
+      bool b_right = IsFreeIn(rvar, b) && !IsFreeIn(v, b) &&
+                     !IsFreeIn(lvar, b);
+      if (!(a_elem && b_right)) {
+        std::swap(a, b);
+        a_elem = IsFreeIn(v, a) && !IsFreeIn(rvar, a) && !IsFreeIn(lvar, a);
+        b_right = IsFreeIn(rvar, b) && !IsFreeIn(v, b) &&
+                  !IsFreeIn(lvar, b);
+      }
+      if (a_elem && b_right) {
+        out.elem_var = v;
+        out.elem_key = a;
+        out.right_key = b;
+        out.attr = c->child(0)->name();
+        out.found = true;
+        continue;
+      }
+    }
+    out.residual.push_back(c);
+  }
+  return out;
+}
+
 // Cached per arity so the per-row path never rebuilds name strings.
 const TupleShape* JoinKeyShape(size_t n) {
   constexpr size_t kMaxCached = 16;

@@ -37,6 +37,32 @@ struct EquiJoinKeys {
 EquiJoinKeys ExtractEquiKeys(const ExprPtr& pred, const std::string& lvar,
                              const std::string& rvar);
 
+/// The membership conjunct of a join predicate p(x, y), in one of two
+/// forms:
+///
+///   f(y) ∈ x.attr                  (elem_key null: probe with the element)
+///   ∃v ∈ x.attr · k(v) = f(y)      (probe with k(element))
+///
+/// A membership join builds a hash table on f(y) over the right operand
+/// and probes it once per element of each left tuple's set attribute.
+/// The evaluator (Evaluator::MembershipJoin) and the cost planner
+/// (ChooseJoin) both recognize the pattern here, so the planner prices
+/// exactly the plan the evaluator runs.
+struct MembershipKey {
+  ExprPtr right_key;             // f(y)
+  std::string attr;              // the left set-valued attribute
+  std::string elem_var;          // v (empty for the plain ∈ form)
+  ExprPtr elem_key;              // k(v) (null for the plain ∈ form)
+  std::vector<ExprPtr> residual;  // every other conjunct
+  bool found = false;
+};
+
+/// Analyzes `pred` (with bound variables `lvar`, `rvar`); the first
+/// matching conjunct becomes the key.
+MembershipKey ExtractMembershipKey(const ExprPtr& pred,
+                                   const std::string& lvar,
+                                   const std::string& rvar);
+
 /// Hash/sort key built from evaluated equi-key expressions. A single key
 /// is returned bare — no tuple wrap — since join keys only ever meet
 /// keys built the same way from the matching key list; composite keys

@@ -12,90 +12,16 @@
 
 #include <unordered_map>
 
-#include "adl/analysis.h"
 #include "exec/compile.h"
+#include "exec/equi_join.h"
 #include "exec/eval.h"
 #include "obs/trace.h"
 
 namespace n2j {
 
-namespace {
-
-/// The matched membership conjunct: either `f(y) ∈ x.attr` (elem_key
-/// null — probe with the element itself) or `∃v ∈ x.attr · k(v) = f(y)`
-/// (probe with k(element)).
-struct MembershipKey {
-  ExprPtr right_key;   // f(y)
-  std::string attr;    // the left set-valued attribute c
-  std::string elem_var;  // v (empty for the plain ∈ form)
-  ExprPtr elem_key;    // k(v) (null for the plain ∈ form)
-  bool found = false;
-};
-
-bool IsLeftAttr(const ExprPtr& e, const std::string& lvar) {
-  return e->kind() == ExprKind::kFieldAccess &&
-         e->child(0)->kind() == ExprKind::kVar &&
-         e->child(0)->name() == lvar;
-}
-
-MembershipKey FindMembershipConjunct(const std::vector<ExprPtr>& conjuncts,
-                                     const std::string& lvar,
-                                     const std::string& rvar,
-                                     std::vector<ExprPtr>* residual) {
-  MembershipKey out;
-  for (const ExprPtr& c : conjuncts) {
-    if (!out.found && c->kind() == ExprKind::kBinary &&
-        c->bin_op() == BinOp::kIn) {
-      const ExprPtr& lhs = c->child(0);
-      const ExprPtr& rhs = c->child(1);
-      if (IsLeftAttr(rhs, lvar) && !IsFreeIn(lvar, lhs) &&
-          IsFreeIn(rvar, lhs)) {
-        out.right_key = lhs;
-        out.attr = rhs->name();
-        out.found = true;
-        continue;
-      }
-    }
-    // ∃v ∈ x.attr · k(v) = f(y)  (either orientation of the equality).
-    if (!out.found && c->kind() == ExprKind::kQuantifier &&
-        c->quant_kind() == QuantKind::kExists &&
-        IsLeftAttr(c->child(0), lvar) &&
-        c->child(1)->kind() == ExprKind::kBinary &&
-        c->child(1)->bin_op() == BinOp::kEq) {
-      const std::string& v = c->var();
-      ExprPtr a = c->child(1)->child(0);
-      ExprPtr b = c->child(1)->child(1);
-      bool a_elem = IsFreeIn(v, a) && !IsFreeIn(rvar, a) &&
-                    !IsFreeIn(lvar, a);
-      bool b_right = IsFreeIn(rvar, b) && !IsFreeIn(v, b) &&
-                     !IsFreeIn(lvar, b);
-      if (!(a_elem && b_right)) {
-        std::swap(a, b);
-        a_elem = IsFreeIn(v, a) && !IsFreeIn(rvar, a) && !IsFreeIn(lvar, a);
-        b_right = IsFreeIn(rvar, b) && !IsFreeIn(v, b) &&
-                  !IsFreeIn(lvar, b);
-      }
-      if (a_elem && b_right) {
-        out.elem_var = v;
-        out.elem_key = a;
-        out.right_key = b;
-        out.attr = c->child(0)->name();
-        out.found = true;
-        continue;
-      }
-    }
-    residual->push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<Value> Evaluator::MembershipJoin(const Expr& e, const Value& l,
                                         const Value& r, Environment& env) {
-  std::vector<ExprPtr> residual_conjuncts;
-  MembershipKey key = FindMembershipConjunct(
-      SplitConjuncts(e.pred()), e.var(), e.var2(), &residual_conjuncts);
+  MembershipKey key = ExtractMembershipKey(e.pred(), e.var(), e.var2());
   if (!key.found) {
     return Status::Unsupported("no membership conjunct");
   }
@@ -133,8 +59,8 @@ Result<Value> Evaluator::MembershipJoin(const Expr& e, const Value& l,
   }
   if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.size());
 
-  ExprPtr residual = Expr::AndAll(residual_conjuncts);
-  bool trivial_residual = residual_conjuncts.empty();
+  ExprPtr residual = Expr::AndAll(key.residual);
+  bool trivial_residual = key.residual.empty();
 
   // Probe-side element shape: the elements of the first left tuple's
   // set attribute seed the element-key program's inline caches.

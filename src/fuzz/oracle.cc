@@ -269,6 +269,14 @@ std::vector<OracleConfig> DefaultConfigMatrix() {
     c.querylog = true;
     m.push_back(c);
   }
+  {
+    // The same façade under the cost strategy, so the plan cache's
+    // cached physical plans are fuzzed too.
+    OracleConfig c = Cell("querylog-cost");
+    c.cost_based = true;
+    c.querylog = true;
+    m.push_back(c);
+  }
 
   return m;
 }
@@ -406,7 +414,9 @@ OracleReport RunDifferentialOracle(const Database& db,
       // the flight recorder sees this cell exactly like a user query.
       obs::QueryLog& qlog = obs::QueryLog::Global();
       uint64_t before = qlog.total_appended();
-      QueryEngine engine(&db, config.rewrite, eval_opts);
+      PlannerOptions popts;
+      if (config.cost_based) popts.strategy = PlanStrategy::kCost;
+      QueryEngine engine(&db, config.rewrite, eval_opts, popts);
       Result<QueryReport> run = engine.Run(query);
       if (run.ok()) {
         cell_stats = run->exec_stats;
@@ -453,6 +463,31 @@ OracleReport RunDifferentialOracle(const Database& db,
               "query errored but the flight-recorder record has no error";
           return report;
         }
+      }
+      // The same text again on the same engine must come from the plan
+      // cache (errors are not cached, so an error must recur) and answer
+      // exactly what the first run answered, counters included.
+      Result<QueryReport> again = engine.Run(query);
+      std::string why;
+      if (run.ok() != again.ok()) {
+        why = std::string("the second run ") +
+              (again.ok() ? "succeeded" : "failed") +
+              " where the first did not";
+      } else if (run.ok() && !again->plan_cache_hit) {
+        why = "the second run missed the plan cache";
+      } else if (run.ok() && again->result != run->result) {
+        why = "value differs\nfirst:  " + run->result.ToString() +
+              "\nsecond: " + again->result.ToString();
+      } else if (run.ok() &&
+                 again->exec_stats.Compact() != run->exec_stats.Compact()) {
+        why = "counters differ\nfirst:  " + run->exec_stats.Compact() +
+              "\nsecond: " + again->exec_stats.Compact();
+      }
+      if (!why.empty()) {
+        report.status = OracleStatus::kMismatch;
+        report.failing_config = config.name;
+        report.detail = "plan-cache rerun: " + why;
+        return report;
       }
     } else {
       actual = shred::EvalWithBackend(db, plan, eval_opts, &cell_stats);

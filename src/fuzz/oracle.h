@@ -34,7 +34,10 @@ struct OracleConfig {
   /// directly) so the query flight recorder (obs/querylog.h) is on the
   /// path, and assert its exactness: every run appends exactly one
   /// record, and the record's EvalStats snapshot equals the execution's
-  /// global counters (error runs must record a non-empty error).
+  /// global counters (error runs must record a non-empty error). The
+  /// query then runs a second time on the same engine: that run must
+  /// hit the plan cache and repeat the value and counters exactly. With
+  /// `cost_based`, the engine plans under PlanStrategy::kCost.
   bool querylog = false;
 };
 

@@ -23,6 +23,8 @@ struct CostConstants {
   double index_probe = 110.0; // one prebuilt-index lookup (key eval + chase)
   double index_chase = 45.0;  // one matching row fetched through the postings
   double emit_row = 30.0;     // one output tuple assembled
+
+  bool operator==(const CostConstants&) const = default;
 };
 
 /// Cardinality inputs: probe/outer rows `l`, build/inner rows `r`,

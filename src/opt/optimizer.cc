@@ -57,36 +57,6 @@ bool IndexUsable(const Database& db, const Expr& e,
   return db.FindIndex(e.right()->name(), *attr) != nullptr;
 }
 
-/// Detects the membership-join pattern f(y) ∈ x.c / x.c ∋ f(y) in a
-/// conjunct of `e`'s predicate. Returns true and the container's
-/// average fanout (4.0 when unknown) — the probe volume driver.
-bool MembershipUsable(const Expr& e, const RelEstimate& left,
-                      double* avg_fanout) {
-  for (const ExprPtr& c : SplitConjuncts(e.pred())) {
-    if (c->kind() != ExprKind::kBinary) continue;
-    const ExprPtr* probe = nullptr;
-    const ExprPtr* container = nullptr;
-    if (c->bin_op() == BinOp::kIn) {
-      probe = &c->child(0);
-      container = &c->child(1);
-    } else if (c->bin_op() == BinOp::kContains) {
-      container = &c->child(0);
-      probe = &c->child(1);
-    } else {
-      continue;
-    }
-    const std::string* attr = PlainAttr(*container, e.var());
-    if (attr == nullptr) continue;
-    if (IsFreeIn(e.var(), *probe)) continue;
-    const AttrStats* cs = left.Find(*attr);
-    *avg_fanout = (cs != nullptr && cs->set_valued)
-                      ? std::max(1.0, cs->avg_fanout)
-                      : 4.0;
-    return true;
-  }
-  return false;
-}
-
 struct Choice {
   JoinAlgorithm algo = JoinAlgorithm::kNestedLoop;
   const char* label = "nested-loop";
@@ -118,10 +88,16 @@ Choice ChooseJoin(const Database& db, const PlannerOptions& po,
                IndexJoinCost(lr, matches, out, c));
     }
   } else {
-    double fanout = 0.0;
-    if (MembershipUsable(e, l, &fanout)) {
-      // Dispatched as kHash: the hash attempt reports kUnsupported (no
-      // equi keys) and the evaluator falls through to MembershipJoin.
+    MembershipKey mk = ExtractMembershipKey(e.pred(), e.var(), e.var2());
+    if (mk.found) {
+      // The probe volume is |X| × the set attribute's average fanout
+      // (4.0 when unknown). Dispatched as kHash: the hash attempt
+      // reports kUnsupported (no equi keys) and the evaluator falls
+      // through to MembershipJoin.
+      const AttrStats* cs = l.Find(mk.attr);
+      double fanout = (cs != nullptr && cs->set_valued)
+                          ? std::max(1.0, cs->avg_fanout)
+                          : 4.0;
       consider(JoinAlgorithm::kHash, "membership",
                MembershipJoinCost(lr * fanout, rr, out, c));
     }

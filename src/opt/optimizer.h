@@ -48,6 +48,8 @@ struct PlannerOptions {
   /// Mirror of EvalOptions::pnhl_memory_budget, used to price PNHL.
   size_t pnhl_memory_budget = SIZE_MAX;
   CostConstants costs;
+
+  bool operator==(const PlannerOptions&) const = default;
 };
 
 /// The planner's output: the (possibly reordered) expression to

@@ -41,6 +41,8 @@ struct RewriteOptions {
   bool enable_pushdown = true;        // selection pushdown through joins
   GroupingMode grouping = GroupingMode::kNestJoin;
   int max_rounds = 8;
+
+  bool operator==(const RewriteOptions&) const = default;
 };
 
 /// One rewrite step, for explain output and tests.

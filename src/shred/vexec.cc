@@ -438,8 +438,7 @@ class VecPipeline {
                   VBatch* sink);
   Status CsrExpand(VecLane& ln, size_t j, VecLevel& lvl, const VBatch& b,
                    VBatch* sink);
-  Status MatExpand(VecLane& ln, size_t j, VecLevel& lvl, const VBatch& b,
-                   VBatch* sink);
+  Status MatExpand(VecLane& ln, size_t j, const VBatch& b, VBatch* sink);
   Status RunUnit(VecLane& ln, const Unit& u, VBatch* sink);
   void AppendTo(VBatch* dst, VBatch b);
   Result<std::vector<Value>> EvalOut(const OutputSpec& out);
@@ -594,7 +593,7 @@ Status VecPipeline::ExpandFrom(VecLane& ln, size_t j, VBatch& b,
     case VecLevel::kCsr:
       return CsrExpand(ln, j, lvl, b, sink);
     case VecLevel::kMaterialized:
-      return MatExpand(ln, j, lvl, b, sink);
+      return MatExpand(ln, j, b, sink);
   }
   return Status::Internal("unreachable range mode");
 }
@@ -885,8 +884,8 @@ Status VecPipeline::CsrExpand(VecLane& ln, size_t j, VecLevel& lvl,
   return FlushChunk(ln, j, b, chunk, pred, sink);
 }
 
-Status VecPipeline::MatExpand(VecLane& ln, size_t j, VecLevel& lvl,
-                              const VBatch& b, VBatch* sink) {
+Status VecPipeline::MatExpand(VecLane& ln, size_t j, const VBatch& b,
+                              VBatch* sink) {
   Frag& src = ln.lv[j].source;
   BindFrag(src, b, b.n, 0, nullptr, j);
   if (!src.prog.vm().Run(b.n)) return src.prog.status();

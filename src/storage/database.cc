@@ -37,6 +37,7 @@ Status Database::CreateTable(const std::string& name, TypePtr row_type) {
     return Status::TypeError("table row type must be a tuple: " + name);
   }
   tables_.emplace(name, Table(name, std::move(row_type)));
+  ++catalog_epoch_;
   return Status::OK();
 }
 
@@ -102,6 +103,7 @@ Status Database::CreateIndex(const std::string& table,
     index.Add(*key, i);
   }
   indexes_[{table, field}] = std::move(index);
+  ++catalog_epoch_;
   return Status::OK();
 }
 

@@ -64,6 +64,13 @@ class Database {
   const HashIndex* FindIndex(const std::string& table,
                              const std::string& field) const;
 
+  /// Bumped by every CreateTable and CreateIndex. Translation and
+  /// rewriting read the database only for table existence and row
+  /// types, and the planner for indexes, so a derived artefact built at
+  /// one epoch stays valid until the epoch moves (QueryEngine's plan
+  /// cache). Row inserts leave it alone: they bump Table::version().
+  uint64_t catalog_epoch() const { return catalog_epoch_; }
+
   /// The per-database statistics catalog (stats/stats.h), lazily
   /// constructed. Lives on the database — not the engine — so ANALYZE
   /// state survives engine reconstruction; entries invalidate on Append
@@ -81,6 +88,7 @@ class Database {
   std::map<uint16_t, uint64_t> next_seq_;
   std::map<std::pair<std::string, std::string>, HashIndex> indexes_;
   ObjectStore store_;
+  uint64_t catalog_epoch_ = 0;
   mutable std::unique_ptr<StatsCatalog> stats_;
   mutable std::unique_ptr<ColumnarCatalog> columnar_;
 };

@@ -194,8 +194,12 @@ TEST_F(EvalTest, NestJoinReproducesFigure3) {
       size_t group = t.FindField("ys")->set_size();
       // Figure 3: x=(1,1) and x=(2,1) each collect {(1,1),(2,1)};
       // x=(3,3) is dangling and keeps the empty set.
-      if (a == 1 || a == 2) EXPECT_EQ(group, 2u);
-      if (a == 3) EXPECT_EQ(group, 0u);
+      if (a == 1 || a == 2) {
+        EXPECT_EQ(group, 2u);
+      }
+      if (a == 3) {
+        EXPECT_EQ(group, 0u);
+      }
     }
   }
 }

@@ -494,5 +494,41 @@ TEST(OptimizerMeasuredChoice, JoinOrderDpReordersSkewedChain) {
   EXPECT_TRUE(pp.reordered) << pp.Describe();
 }
 
+// Example Query 5 rewrites to SUPPLIER ⋉_{s,p : ∃x ∈ s.parts · x.pid =
+// p.pid} σ[color = "red"](PART). The evaluator runs that predicate as a
+// membership join, and the planner must price the same plan: it shares
+// the evaluator's recognizer (ExtractMembershipKey), so it no longer pins
+// a nested loop that costs |SUPPLIER| × |red parts| × fanout.
+TEST(OptimizerMembershipChoice, Query5PlansTheMembershipSemijoin) {
+  SupplierPartConfig sp;  // bench_paper_queries' shape at |PART| = 1024
+  sp.seed = 1;
+  sp.num_parts = 1024;
+  sp.num_suppliers = 256;
+  sp.parts_per_supplier = 8;
+  sp.num_deliveries = 512;
+  sp.red_fraction = 0.2;
+  sp.match_fraction = 0.92;
+  auto db = MakeSupplierPartDatabase(sp);
+  PlannerOptions po;
+  po.strategy = PlanStrategy::kCost;
+  QueryEngine engine(db.get(), RewriteOptions(), EvalOptions(), po);
+  Result<QueryReport> r = engine.Run(
+      "select s from s in SUPPLIER where "
+      "exists x in s.parts : exists p in PART : "
+      "x.pid = p.pid and p.color = \"red\"");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::string explain = r->Explain();
+  EXPECT_NE(explain.find(
+                "\n  semijoin[membership] est_rows=128 est_cost=0.212ms\n"),
+            std::string::npos)
+      << explain;
+  EXPECT_EQ(r->exec_stats.joins_membership, 1u) << explain;
+  EXPECT_EQ(r->exec_stats.joins_nested_loop, 0u) << explain;
+
+  EvalOptions nested;
+  nested.use_hash_joins = false;
+  EXPECT_EQ(r->result, MustEval(*db, r->translated, nested));
+}
+
 }  // namespace
 }  // namespace n2j

@@ -63,8 +63,12 @@ TEST(PnhlTest, JoinsSetElementsWithInnerTable) {
         EXPECT_EQ(e.tuple_size(), 2u);
       }
     }
-    if (id == 2) EXPECT_EQ(parts.set_size(), 0u);
-    if (id == 3) EXPECT_EQ(parts.set_size(), 2u);  // 99 dangles away
+    if (id == 2) {
+      EXPECT_EQ(parts.set_size(), 0u);
+    }
+    if (id == 3) {
+      EXPECT_EQ(parts.set_size(), 2u);  // 99 dangles away
+    }
   }
   EXPECT_EQ(stats.partitions, 1u);
   EXPECT_EQ(stats.matches, 4u);
