@@ -134,7 +134,10 @@ ThreadPool& Evaluator::pool() {
 std::unique_ptr<Evaluator> Evaluator::ForkWorker() const {
   EvalOptions worker_opts = opts_;
   worker_opts.num_threads = 1;  // nested operators stay serial
-  worker_opts.trace = nullptr;  // counters merge into the coordinator span
+  // Workers never record spans: the collector is single-threaded and
+  // their counters reach the coordinator's span via MergeWorkerStats,
+  // which every parallel operator calls before its span closes.
+  worker_opts.trace = nullptr;
   auto w = std::make_unique<Evaluator>(db_, worker_opts);
   w->table_cache_ = table_cache_;
   return w;
@@ -143,17 +146,7 @@ std::unique_ptr<Evaluator> Evaluator::ForkWorker() const {
 std::vector<std::unique_ptr<Evaluator>> Evaluator::ForkWorkers(int count) {
   std::vector<std::unique_ptr<Evaluator>> workers;
   workers.reserve(static_cast<size_t>(count));
-  EvalOptions worker_opts = opts_;
-  worker_opts.num_threads = 1;  // nested operators stay serial
-  // Workers never record spans: the collector is single-threaded and
-  // their counters reach the coordinator's span via MergeWorkerStats,
-  // which every parallel operator calls before its span closes.
-  worker_opts.trace = nullptr;
-  for (int i = 0; i < count; ++i) {
-    auto w = std::make_unique<Evaluator>(db_, worker_opts);
-    w->table_cache_ = table_cache_;
-    workers.push_back(std::move(w));
-  }
+  for (int i = 0; i < count; ++i) workers.push_back(ForkWorker());
   return workers;
 }
 

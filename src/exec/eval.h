@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -19,7 +18,6 @@
 namespace n2j {
 
 class CompiledLambda;
-struct JoinLambdas;
 class TraceCollector;
 struct PlanAnnotations;
 
@@ -315,25 +313,32 @@ class Evaluator {
   /// Parallel morsels for map/select over a materialized set.
   Result<Value> ParallelMapSelect(const Expr& e, const Value& in,
                                   Environment& env, bool is_select);
-  /// Partitioned parallel hash join: parallel build-key evaluation,
-  /// hash-partitioned build (one partition per worker, scan order
-  /// preserved inside buckets), then parallel probe morsels.
-  Result<Value> ParallelHashJoin(const Expr& e, const Value& l,
-                                 const Value& r, Environment& env,
-                                 const struct EquiJoinKeys& keys);
-  /// Parallel probe morsels for the membership join (build stays
-  /// serial; the probe side dominates). `compile_worker` populates one
-  /// JoinLambdas per worker frame (compiled via that worker's evaluator
-  /// and environment) before the morsels run; `probe_one` receives the
-  /// worker's frame.
-  Result<Value> ParallelMembershipProbe(
-      const Expr& e, const Value& l, Environment& env,
-      const std::function<void(Evaluator& worker, Environment& wenv,
-                               JoinLambdas* jl)>& compile_worker,
-      const std::function<Status(Evaluator& worker, Environment& wenv,
-                                 const Value& x, JoinLambdas& jl,
-                                 std::vector<const Value*>* matches)>&
-          probe_one);
+  /// The morsel loop of the join operators: runs
+  /// body(ev, env, frame, begin, end, out) over morsels of [0, n) and
+  /// returns the morsels' outputs concatenated in morsel order.
+  /// prepare(ev, env, &frame) readies the Frame of every evaluator that
+  /// runs morsels, before any morsel runs. The serial case (num_threads
+  /// == 1 or n < 2) is one morsel on this evaluator and `env`: no fork,
+  /// no copy, no pool. Otherwise each worker gets a forked evaluator, a
+  /// copy of `env` and its own Frame (compiled programs own mutable
+  /// register frames), and every worker's counters merge back whether
+  /// or not a morsel failed.
+  template <typename Frame, typename Prepare, typename Body>
+  Result<std::vector<Value>> DriveMorsels(size_t n, const char* phase,
+                                          Environment& env,
+                                          Prepare&& prepare, Body&& body);
+
+  /// One row's join key: the compiled key program when `cl` is ok, else
+  /// the interpreted key expressions (counted as a fallback when `cl`'s
+  /// compile fell back).
+  Result<Value> JoinKey(CompiledLambda& cl, const std::vector<ExprPtr>& keys,
+                        const std::string& var, const Value& row,
+                        Environment& env);
+  /// The join residual on one (x, y) pair, compiled when `cl` is ok;
+  /// counts one predicate evaluation.
+  Result<bool> ResidualHolds(const Expr& e, const Expr& residual,
+                             CompiledLambda& cl, const Value& x,
+                             const Value& y, Environment& env);
 
   /// Shared per-left-tuple result assembly for the join family: given
   /// the matching right tuples (post-residual), appends the appropriate
@@ -356,6 +361,47 @@ class Evaluator {
   std::map<std::string, Value> table_cache_;
   std::unique_ptr<ThreadPool> pool_;
 };
+
+template <typename Frame, typename Prepare, typename Body>
+Result<std::vector<Value>> Evaluator::DriveMorsels(size_t n,
+                                                   const char* phase,
+                                                   Environment& env,
+                                                   Prepare&& prepare,
+                                                   Body&& body) {
+  std::vector<Value> out;
+  if (opts_.num_threads <= 1 || n < 2) {
+    Frame frame;
+    prepare(*this, env, &frame);
+    N2J_RETURN_IF_ERROR(body(*this, env, frame, size_t{0}, n, &out));
+    return out;
+  }
+  ThreadPool& tp = pool();
+  tp.set_morsel_phase(phase);
+  const int num_workers = tp.num_workers();
+  std::vector<std::unique_ptr<Evaluator>> workers = ForkWorkers(num_workers);
+  std::vector<Environment> envs(static_cast<size_t>(num_workers), env);
+  std::vector<Frame> frames(static_cast<size_t>(num_workers));
+  for (size_t w = 0; w < frames.size(); ++w) {
+    prepare(*workers[w], envs[w], &frames[w]);
+  }
+  const size_t morsel = PickMorselSize(n, num_workers);
+  std::vector<std::vector<Value>> outs(NumMorsels(n, morsel));
+  Status s = tp.RunMorsels(outs.size(), [&](int w, size_t m) -> Status {
+    const size_t wi = static_cast<size_t>(w);
+    const MorselRange range = MorselAt(n, morsel, m);
+    return body(*workers[wi], envs[wi], frames[wi], range.begin, range.end,
+                &outs[m]);
+  });
+  MergeWorkerStats(workers);
+  N2J_RETURN_IF_ERROR(s);
+  size_t total = 0;
+  for (const auto& o : outs) total += o.size();
+  out.reserve(total);
+  for (auto& o : outs) {
+    for (Value& v : o) out.push_back(std::move(v));
+  }
+  return out;
+}
 
 /// Convenience: evaluate a closed expression against `db` with default
 /// options, aborting on error (for tests/examples where failure is a bug).

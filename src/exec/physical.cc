@@ -6,12 +6,11 @@
 // joins run as nested loops. The sort-merge variant lives in
 // physical_sortmerge.cc.
 
-#include <unordered_map>
-
 #include "adl/analysis.h"
 #include "exec/compile.h"
 #include "exec/equi_join.h"
 #include "exec/eval.h"
+#include "exec/join_kernels.h"
 #include "obs/trace.h"
 #include "storage/index.h"
 
@@ -77,17 +76,21 @@ Status Evaluator::EmitJoinResult(const Expr& e, const Value& x,
   }
 }
 
-namespace {
-
-/// Evaluates the key expressions under a binding of `var` to `row`.
-Result<Value> EvalKeyTuple(Evaluator* ev, const std::vector<ExprPtr>& keys,
-                           const std::string& var, const Value& row,
-                           Environment& env) {
+Result<Value> Evaluator::JoinKey(CompiledLambda& cl,
+                                 const std::vector<ExprPtr>& keys,
+                                 const std::string& var, const Value& row,
+                                 Environment& env) {
+  if (cl.ok()) {
+    Value* k = cl.Run(row);
+    if (k == nullptr) return cl.status();
+    return std::move(*k);
+  }
+  if (cl.fallback()) ++stats_.interp_fallback_evals;
   env.Push(var, row);
   std::vector<Value> parts;
   parts.reserve(keys.size());
   for (const ExprPtr& k : keys) {
-    Result<Value> kv = ev->Eval(k, env);
+    Result<Value> kv = Eval(k, env);
     if (!kv.ok()) {
       env.Pop();
       return kv.status();
@@ -98,8 +101,47 @@ Result<Value> EvalKeyTuple(Evaluator* ev, const std::vector<ExprPtr>& keys,
   return JoinKeyFromParts(std::move(parts));
 }
 
+Result<bool> Evaluator::ResidualHolds(const Expr& e, const Expr& residual,
+                                      CompiledLambda& cl, const Value& x,
+                                      const Value& y, Environment& env) {
+  ++stats_.predicate_evals;
+  Value holder;
+  const Value* p = nullptr;
+  if (cl.ok()) {
+    p = cl.Run(x, y);
+    if (p == nullptr) return cl.status();
+  } else {
+    if (cl.fallback()) ++stats_.interp_fallback_evals;
+    env.Push(e.var(), x);
+    env.Push(e.var2(), y);
+    Result<Value> r = EvalNode(residual, env);
+    env.Pop();
+    env.Pop();
+    if (!r.ok()) return r.status();
+    holder = std::move(r).value();
+    p = &holder;
+  }
+  if (!p->is_bool()) {
+    return Status::RuntimeError("join residual not boolean");
+  }
+  return p->bool_value();
+}
+
+namespace {
+
+// The probe side's per-evaluator state: compiled lambdas and the match
+// buffer, reused across left tuples.
+struct HashProbeFrame {
+  JoinLambdas jl;
+  std::vector<const Value*> matches;
+};
+
 }  // namespace
 
+// Three steps, each indexed by input position so the result and (after
+// the per-worker merge) every counter are independent of scheduling:
+// the build-key column (morsels when num_threads > 1), one KeyTable
+// over it, then probe morsels over the left operand sharing the table.
 Result<Value> Evaluator::HashJoin(const Expr& e, const Value& l,
                                   const Value& r, Environment& env) {
   EquiJoinKeys keys = ExtractEquiKeys(e.pred(), e.var(), e.var2());
@@ -109,323 +151,77 @@ Result<Value> Evaluator::HashJoin(const Expr& e, const Value& l,
   // Committed from here on: no kUnsupported return below, so the
   // dispatcher's span keeps this annotation.
   if (opts_.trace != nullptr) opts_.trace->AnnotateOpen(keys.Describe());
-  if (opts_.num_threads > 1 && (l.set_size() > 1 || r.set_size() > 1)) {
-    return ParallelHashJoin(e, l, r, env, keys);
-  }
-
-  ExprPtr residual = Expr::AndAll(keys.residual);
-  bool trivial_residual = keys.residual.empty();
-  JoinLambdas jl;
-  if (opts_.compiled) {
-    if (r.set_size() > 0) {
-      jl.right_key.CompileKey(*this, keys.right_keys, e.var2(), env,
-                              FirstElemShape(r));
-    }
-    if (l.set_size() > 0) {
-      jl.left_key.CompileKey(*this, keys.left_keys, e.var(), env,
-                             FirstElemShape(l));
-      if (!trivial_residual) {
-        jl.residual.Compile(*this, *residual, {e.var(), e.var2()}, env,
-                            FirstElemShape(l));
-      }
-      if (e.kind() == ExprKind::kNestJoin) {
-        jl.inner.Compile(*this, *e.inner(), {e.var(), e.var2()}, env,
-                         FirstElemShape(l));
-      }
-    }
-  }
-
-  // Build phase over the right operand.
-  std::unordered_map<Value, std::vector<const Value*>, ValueHash> table;
-  table.reserve(r.set_size());
-  for (const Value& y : r.elements()) {
-    ++stats_.tuples_scanned;
-    Value key;
-    if (jl.right_key.ok()) {
-      Value* k = jl.right_key.Run(y);
-      if (k == nullptr) return jl.right_key.status();
-      key = std::move(*k);
-    } else {
-      if (jl.right_key.fallback()) ++stats_.interp_fallback_evals;
-      N2J_ASSIGN_OR_RETURN(
-          key, EvalKeyTuple(this, keys.right_keys, e.var2(), y, env));
-    }
-    ++stats_.hash_inserts;
-    table[std::move(key)].push_back(&y);
-  }
-  if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.size());
-
-  // Probe phase over the left operand. When the residual is trivial the
-  // bucket is passed to EmitJoinResult by pointer — no per-probe copy of
-  // the match vector.
-  std::vector<Value> out;
-  const std::vector<const Value*> no_matches;
-  std::vector<const Value*> filtered;
-  for (const Value& x : l.elements()) {
-    ++stats_.tuples_scanned;
-    Value key;
-    if (jl.left_key.ok()) {
-      Value* k = jl.left_key.Run(x);
-      if (k == nullptr) return jl.left_key.status();
-      key = std::move(*k);
-    } else {
-      if (jl.left_key.fallback()) ++stats_.interp_fallback_evals;
-      N2J_ASSIGN_OR_RETURN(
-          key, EvalKeyTuple(this, keys.left_keys, e.var(), x, env));
-    }
-    ++stats_.hash_probes;
-    auto it = table.find(key);
-
-    const std::vector<const Value*>* matches = &no_matches;
-    if (it != table.end()) {
-      if (trivial_residual) {
-        matches = &it->second;
-      } else if (jl.residual.ok()) {
-        filtered.clear();
-        for (const Value* y : it->second) {
-          ++stats_.predicate_evals;
-          Value* p = jl.residual.Run(x, *y);
-          if (p == nullptr) return jl.residual.status();
-          if (!p->is_bool()) {
-            return Status::RuntimeError("join residual not boolean");
-          }
-          if (p->bool_value()) filtered.push_back(y);
-        }
-        matches = &filtered;
-      } else {
-        filtered.clear();
-        bool count_fallback = jl.residual.fallback();
-        env.Push(e.var(), x);
-        for (const Value* y : it->second) {
-          ++stats_.predicate_evals;
-          if (count_fallback) ++stats_.interp_fallback_evals;
-          env.Push(e.var2(), *y);
-          Result<Value> p = EvalNode(*residual, env);
-          env.Pop();
-          if (!p.ok()) {
-            env.Pop();
-            return p.status();
-          }
-          if (!p->is_bool()) {
-            env.Pop();
-            return Status::RuntimeError("join residual not boolean");
-          }
-          if (p->bool_value()) filtered.push_back(y);
-        }
-        env.Pop();
-        matches = &filtered;
-      }
-    }
-    N2J_RETURN_IF_ERROR(
-        EmitJoinResult(e, x, *matches, env, &out, &jl.inner));
-  }
-  return Value::Set(std::move(out));
-}
-
-// Morsel-driven parallel hash join (num_threads > 1). Three passes:
-//
-//   1. build-key evaluation — parallel morsels over the right operand,
-//      each key written to its input-index slot;
-//   2. hash-partitioned build — partition p owns keys with
-//      hash(key) % P == p; each partition task scans the key vector in
-//      input order, so bucket contents keep the serial insertion order;
-//   3. probe — parallel morsels over the left operand, each morsel
-//      emitting into its own output slot; slots are concatenated in
-//      morsel order.
-//
-// Every intermediate is indexed by input position, so the result (and,
-// after the per-worker merge, every EvalStats counter) is independent
-// of thread scheduling.
-Result<Value> Evaluator::ParallelHashJoin(const Expr& e, const Value& l,
-                                          const Value& r, Environment& env,
-                                          const EquiJoinKeys& keys) {
   const std::vector<Value>& build = r.elements();
   const std::vector<Value>& probe = l.elements();
-  ThreadPool& tp = pool();
-  const int num_workers = tp.num_workers();
-  std::vector<std::unique_ptr<Evaluator>> workers = ForkWorkers(num_workers);
-  std::vector<Environment> envs(static_cast<size_t>(num_workers), env);
 
-  // One JoinLambdas per worker frame: programs own mutable register
-  // frames and inline caches, so they are never shared across threads.
-  // Compilation happens on the coordinating thread before any morsel
-  // runs (compile touches the worker's table cache).
-  ExprPtr residual = Expr::AndAll(keys.residual);
-  bool trivial_residual = keys.residual.empty();
-  std::vector<JoinLambdas> jls(static_cast<size_t>(num_workers));
-  if (opts_.compiled) {
-    for (int w = 0; w < num_workers; ++w) {
-      JoinLambdas& jl = jls[static_cast<size_t>(w)];
-      Evaluator& ev = *workers[static_cast<size_t>(w)];
-      Environment& wenv = envs[static_cast<size_t>(w)];
-      if (r.set_size() > 0) {
-        jl.right_key.CompileKey(ev, keys.right_keys, e.var2(), wenv,
-                                FirstElemShape(r));
-      }
-      if (l.set_size() > 0) {
-        jl.left_key.CompileKey(ev, keys.left_keys, e.var(), wenv,
-                               FirstElemShape(l));
-        if (!trivial_residual) {
-          jl.residual.Compile(ev, *residual, {e.var(), e.var2()}, wenv,
-                              FirstElemShape(l));
+  Result<std::vector<Value>> build_keys = DriveMorsels<CompiledLambda>(
+      build.size(), "join/build-keys", env,
+      [&](Evaluator& ev, Environment& wenv, CompiledLambda* key) {
+        if (opts_.compiled && !build.empty()) {
+          key->CompileKey(ev, keys.right_keys, e.var2(), wenv,
+                          FirstElemShape(r));
         }
-        if (e.kind() == ExprKind::kNestJoin) {
-          jl.inner.Compile(ev, *e.inner(), {e.var(), e.var2()}, wenv,
-                           FirstElemShape(l));
-        }
-      }
-    }
-  }
-
-  // Pass 1: evaluate build keys (and their partitions) slot-per-element.
-  const size_t num_partitions = static_cast<size_t>(num_workers);
-  std::vector<Value> build_keys(build.size());
-  std::vector<size_t> partition_of(build.size());
-  size_t build_morsel = PickMorselSize(build.size(), num_workers);
-  tp.set_morsel_phase("join/build-keys");
-  Status s = tp.RunMorsels(
-      NumMorsels(build.size(), build_morsel), [&](int w, size_t m) -> Status {
-        Evaluator& ev = *workers[static_cast<size_t>(w)];
-        Environment& wenv = envs[static_cast<size_t>(w)];
-        JoinLambdas& jl = jls[static_cast<size_t>(w)];
-        MorselRange range = MorselAt(build.size(), build_morsel, m);
-        for (size_t i = range.begin; i < range.end; ++i) {
+      },
+      [&](Evaluator& ev, Environment& wenv, CompiledLambda& key,
+          size_t begin, size_t end, std::vector<Value>* out) -> Status {
+        for (size_t i = begin; i < end; ++i) {
           ++ev.stats_.tuples_scanned;
-          Value key;
-          if (jl.right_key.ok()) {
-            Value* k = jl.right_key.Run(build[i]);
-            if (k == nullptr) return jl.right_key.status();
-            key = std::move(*k);
-          } else {
-            if (jl.right_key.fallback()) ++ev.stats_.interp_fallback_evals;
-            Result<Value> kr = EvalKeyTuple(&ev, keys.right_keys, e.var2(),
-                                            build[i], wenv);
-            if (!kr.ok()) return kr.status();
-            key = std::move(*kr);
-          }
-          partition_of[i] = key.Hash() % num_partitions;
-          build_keys[i] = std::move(key);
+          Result<Value> k =
+              ev.JoinKey(key, keys.right_keys, e.var2(), build[i], wenv);
+          if (!k.ok()) return k.status();
+          ++ev.stats_.hash_inserts;
+          out->push_back(std::move(k).value());
         }
         return Status::OK();
       });
-  if (!s.ok()) {
-    MergeWorkerStats(workers);
-    return s;
-  }
+  if (!build_keys.ok()) return build_keys.status();
+  const KeyTable table(*build_keys);
+  if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.distinct());
 
-  // Pass 2: one build task per partition; bucket order = input order.
-  std::vector<
-      std::unordered_map<Value, std::vector<const Value*>, ValueHash>>
-      tables(num_partitions);
-  tp.set_morsel_phase("join/partition");
-  s = tp.RunMorsels(num_partitions, [&](int, size_t p) -> Status {
-    auto& table = tables[p];
-    table.reserve(build.size() / num_partitions + 1);
-    for (size_t i = 0; i < build.size(); ++i) {
-      if (partition_of[i] != p) continue;
-      table[build_keys[i]].push_back(&build[i]);
-    }
-    return Status::OK();
-  });
-  stats_.hash_inserts += build.size();
-  if (!s.ok()) {
-    MergeWorkerStats(workers);
-    return s;
-  }
-  if (opts_.trace != nullptr) {
-    // The partitions are resident simultaneously; their combined entry
-    // count is what the serial build would have held.
-    uint64_t entries = 0;
-    for (const auto& t : tables) entries += t.size();
-    opts_.trace->NotePeakHash(entries);
-  }
-
-  // Pass 3: probe morsels, each with its own output slot.
-  size_t probe_morsel = PickMorselSize(probe.size(), num_workers);
-  size_t num_morsels = NumMorsels(probe.size(), probe_morsel);
-  std::vector<std::vector<Value>> outs(num_morsels);
-  tp.set_morsel_phase("join/probe");
-  s = tp.RunMorsels(num_morsels, [&](int w, size_t m) -> Status {
-    Evaluator& ev = *workers[static_cast<size_t>(w)];
-    Environment& wenv = envs[static_cast<size_t>(w)];
-    JoinLambdas& jl = jls[static_cast<size_t>(w)];
-    MorselRange range = MorselAt(probe.size(), probe_morsel, m);
-    const std::vector<const Value*> no_matches;
-    std::vector<const Value*> filtered;
-    for (size_t i = range.begin; i < range.end; ++i) {
-      const Value& x = probe[i];
-      ++ev.stats_.tuples_scanned;
-      Value key;
-      if (jl.left_key.ok()) {
-        Value* k = jl.left_key.Run(x);
-        if (k == nullptr) return jl.left_key.status();
-        key = std::move(*k);
-      } else {
-        if (jl.left_key.fallback()) ++ev.stats_.interp_fallback_evals;
-        Result<Value> kr = EvalKeyTuple(&ev, keys.left_keys, e.var(), x, wenv);
-        if (!kr.ok()) return kr.status();
-        key = std::move(*kr);
-      }
-      ++ev.stats_.hash_probes;
-      const auto& table = tables[key.Hash() % num_partitions];
-      auto it = table.find(key);
-
-      const std::vector<const Value*>* matches = &no_matches;
-      if (it != table.end()) {
-        if (trivial_residual) {
-          matches = &it->second;
-        } else if (jl.residual.ok()) {
-          filtered.clear();
-          for (const Value* y : it->second) {
-            ++ev.stats_.predicate_evals;
-            Value* p = jl.residual.Run(x, *y);
-            if (p == nullptr) return jl.residual.status();
-            if (!p->is_bool()) {
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (p->bool_value()) filtered.push_back(y);
-          }
-          matches = &filtered;
-        } else {
-          filtered.clear();
-          bool count_fallback = jl.residual.fallback();
-          wenv.Push(e.var(), x);
-          for (const Value* y : it->second) {
-            ++ev.stats_.predicate_evals;
-            if (count_fallback) ++ev.stats_.interp_fallback_evals;
-            wenv.Push(e.var2(), *y);
-            Result<Value> p = ev.EvalNode(*residual, wenv);
-            wenv.Pop();
-            if (!p.ok()) {
-              wenv.Pop();
-              return p.status();
-            }
-            if (!p->is_bool()) {
-              wenv.Pop();
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (p->bool_value()) filtered.push_back(y);
-          }
-          wenv.Pop();
-          matches = &filtered;
+  ExprPtr residual = Expr::AndAll(keys.residual);
+  const bool trivial_residual = keys.residual.empty();
+  Result<std::vector<Value>> out = DriveMorsels<HashProbeFrame>(
+      probe.size(), "join/probe", env,
+      [&](Evaluator& ev, Environment& wenv, HashProbeFrame* f) {
+        if (!opts_.compiled || probe.empty()) return;
+        f->jl.left_key.CompileKey(ev, keys.left_keys, e.var(), wenv,
+                                  FirstElemShape(l));
+        if (!trivial_residual) {
+          f->jl.residual.Compile(ev, *residual, {e.var(), e.var2()}, wenv,
+                                 FirstElemShape(l));
         }
-      }
-      N2J_RETURN_IF_ERROR(
-          ev.EmitJoinResult(e, x, *matches, wenv, &outs[m], &jl.inner));
-    }
-    return Status::OK();
-  });
-  MergeWorkerStats(workers);
-  N2J_RETURN_IF_ERROR(s);
-
-  size_t total = 0;
-  for (const auto& o : outs) total += o.size();
-  std::vector<Value> out;
-  out.reserve(total);
-  for (auto& o : outs) {
-    for (Value& v : o) out.push_back(std::move(v));
-  }
-  return Value::Set(std::move(out));
+        if (e.kind() == ExprKind::kNestJoin) {
+          f->jl.inner.Compile(ev, *e.inner(), {e.var(), e.var2()}, wenv,
+                              FirstElemShape(l));
+        }
+      },
+      [&](Evaluator& ev, Environment& wenv, HashProbeFrame& f, size_t begin,
+          size_t end, std::vector<Value>* out) -> Status {
+        for (size_t i = begin; i < end; ++i) {
+          const Value& x = probe[i];
+          ++ev.stats_.tuples_scanned;
+          Result<Value> key =
+              ev.JoinKey(f.jl.left_key, keys.left_keys, e.var(), x, wenv);
+          if (!key.ok()) return key.status();
+          ++ev.stats_.hash_probes;
+          f.matches.clear();
+          for (int32_t y = table.Probe(*key); y != -1; y = table.Next(y)) {
+            const Value& row = build[static_cast<size_t>(y)];
+            if (!trivial_residual) {
+              Result<bool> keep =
+                  ev.ResidualHolds(e, *residual, f.jl.residual, x, row, wenv);
+              if (!keep.ok()) return keep.status();
+              if (!*keep) continue;
+            }
+            f.matches.push_back(&row);
+          }
+          N2J_RETURN_IF_ERROR(
+              ev.EmitJoinResult(e, x, f.matches, wenv, out, &f.jl.inner));
+        }
+        return Status::OK();
+      });
+  if (!out.ok()) return out.status();
+  return Value::Set(std::move(out).value());
 }
 
 Result<Value> Evaluator::IndexJoin(const Expr& e, const Value& l,
@@ -477,19 +273,8 @@ Result<Value> Evaluator::IndexJoin(const Expr& e, const Value& l,
   }
   for (const Value& x : l.elements()) {
     ++stats_.tuples_scanned;
-    Value key;
-    if (jl.left_key.ok()) {
-      Value* k = jl.left_key.Run(x);
-      if (k == nullptr) return jl.left_key.status();
-      key = std::move(*k);
-    } else {
-      if (jl.left_key.fallback()) ++stats_.interp_fallback_evals;
-      env.Push(e.var(), x);
-      Result<Value> kr = EvalNode(*keys.left_keys[0], env);
-      env.Pop();
-      if (!kr.ok()) return kr.status();
-      key = std::move(*kr);
-    }
+    N2J_ASSIGN_OR_RETURN(
+        Value key, JoinKey(jl.left_key, keys.left_keys, e.var(), x, env));
     ++stats_.index_probes;
     const std::vector<size_t>* rows = index->Lookup(key);
     std::vector<const Value*> matches;
@@ -497,27 +282,9 @@ Result<Value> Evaluator::IndexJoin(const Expr& e, const Value& l,
       for (size_t row : *rows) {
         const Value& y = table->rows()[row];
         if (!trivial_residual) {
-          ++stats_.predicate_evals;
-          if (jl.residual.ok()) {
-            Value* p = jl.residual.Run(x, y);
-            if (p == nullptr) return jl.residual.status();
-            if (!p->is_bool()) {
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (!p->bool_value()) continue;
-          } else {
-            if (jl.residual.fallback()) ++stats_.interp_fallback_evals;
-            env.Push(e.var(), x);
-            env.Push(e.var2(), y);
-            Result<Value> p = EvalNode(*residual, env);
-            env.Pop();
-            env.Pop();
-            if (!p.ok()) return p.status();
-            if (!p->is_bool()) {
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (!p->bool_value()) continue;
-          }
+          N2J_ASSIGN_OR_RETURN(
+              bool keep, ResidualHolds(e, *residual, jl.residual, x, y, env));
+          if (!keep) continue;
         }
         matches.push_back(&y);
       }

@@ -10,14 +10,26 @@
 // under the nestjoin) and of Example Query 5's semijoin
 // (∃x ∈ s.parts · x.pid = p.pid).
 
-#include <unordered_map>
-
 #include "exec/compile.h"
 #include "exec/equi_join.h"
 #include "exec/eval.h"
+#include "exec/join_kernels.h"
 #include "obs/trace.h"
 
 namespace n2j {
+
+namespace {
+
+// The probe side's per-evaluator state. `stamp[row]` holds the index + 1
+// of the last left tuple that matched build row `row` — the dedup of
+// the element-key form, where two elements can share a key.
+struct MembershipFrame {
+  JoinLambdas jl;
+  std::vector<const Value*> matches;
+  std::vector<size_t> stamp;
+};
+
+}  // namespace
 
 Result<Value> Evaluator::MembershipJoin(const Expr& e, const Value& l,
                                         const Value& r, Environment& env) {
@@ -29,35 +41,29 @@ Result<Value> Evaluator::MembershipJoin(const Expr& e, const Value& l,
   if (opts_.trace != nullptr) {
     opts_.trace->AnnotateOpen("attr=" + key.attr);
   }
+  const std::vector<Value>& build = r.elements();
+  const std::vector<Value>& probe = l.elements();
 
-  // Build: f(y) → matching right tuples. The build side runs on this
-  // evaluator (serial even under morsel parallelism).
+  // Build: f(y) per right tuple, on this evaluator (serial even under
+  // morsel parallelism: the probe side dominates).
   CompiledLambda build_key;
-  if (opts_.compiled && r.set_size() > 0) {
+  if (opts_.compiled && !build.empty()) {
     build_key.Compile(*this, *key.right_key, {e.var2()}, env,
                       FirstElemShape(r));
   }
-  std::unordered_map<Value, std::vector<const Value*>, ValueHash> table;
-  table.reserve(r.set_size());
-  for (const Value& y : r.elements()) {
+  const std::vector<ExprPtr> right_key = {key.right_key};
+  const std::vector<ExprPtr> elem_key = {key.elem_key};
+  std::vector<Value> build_keys;
+  build_keys.reserve(build.size());
+  for (const Value& y : build) {
     ++stats_.tuples_scanned;
-    Value kv;
-    if (build_key.ok()) {
-      Value* k = build_key.Run(y);
-      if (k == nullptr) return build_key.status();
-      kv = std::move(*k);
-    } else {
-      if (build_key.fallback()) ++stats_.interp_fallback_evals;
-      env.Push(e.var2(), y);
-      Result<Value> kr = EvalNode(*key.right_key, env);
-      env.Pop();
-      if (!kr.ok()) return kr.status();
-      kv = std::move(*kr);
-    }
+    N2J_ASSIGN_OR_RETURN(Value kv,
+                         JoinKey(build_key, right_key, e.var2(), y, env));
     ++stats_.hash_inserts;
-    table[std::move(kv)].push_back(&y);
+    build_keys.push_back(std::move(kv));
   }
-  if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.size());
+  const KeyTable table(build_keys);
+  if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.distinct());
 
   ExprPtr residual = Expr::AndAll(key.residual);
   bool trivial_residual = key.residual.empty();
@@ -65,186 +71,90 @@ Result<Value> Evaluator::MembershipJoin(const Expr& e, const Value& l,
   // Probe-side element shape: the elements of the first left tuple's
   // set attribute seed the element-key program's inline caches.
   const TupleShape* elem_shape = nullptr;
-  if (l.set_size() > 0) {
-    const Value& x0 = l.elements()[0];
+  if (!probe.empty()) {
+    const Value& x0 = probe[0];
     if (x0.is_tuple()) {
       const Value* a = x0.FindField(key.attr);
       if (a != nullptr && a->is_set()) elem_shape = FirstElemShape(*a);
     }
   }
-  // Compiles one worker frame's probe-side lambdas; also invoked for
-  // the serial path (with this evaluator as the single "worker").
-  auto compile_probe = [&](Evaluator& ev, Environment& wenv,
-                           JoinLambdas* jl) {
-    if (!opts_.compiled || l.set_size() == 0) return;
+  auto prepare = [&](Evaluator& ev, Environment& wenv, MembershipFrame* f) {
+    if (key.elem_key != nullptr) f->stamp.assign(build.size(), 0);
+    if (!opts_.compiled || probe.empty()) return;
     if (key.elem_key != nullptr) {
-      jl->elem_key.Compile(ev, *key.elem_key, {key.elem_var}, wenv,
-                           elem_shape);
+      f->jl.elem_key.Compile(ev, *key.elem_key, {key.elem_var}, wenv,
+                             elem_shape);
     }
     if (!trivial_residual) {
-      jl->residual.Compile(ev, *residual, {e.var(), e.var2()}, wenv,
-                           FirstElemShape(l));
+      f->jl.residual.Compile(ev, *residual, {e.var(), e.var2()}, wenv,
+                             FirstElemShape(l));
     }
     if (e.kind() == ExprKind::kNestJoin) {
-      jl->inner.Compile(ev, *e.inner(), {e.var(), e.var2()}, wenv,
-                        FirstElemShape(l));
+      f->jl.inner.Compile(ev, *e.inner(), {e.var(), e.var2()}, wenv,
+                          FirstElemShape(l));
     }
   };
 
-  // Matches for one left tuple: probe the (shared, read-only) table once
-  // per set element under the given worker evaluator. With an element
-  // key k(v), two distinct elements can share a key, so right tuples are
-  // deduplicated.
-  auto probe_one = [&](Evaluator& ev, Environment& wenv, const Value& x,
-                       JoinLambdas& jl,
-                       std::vector<const Value*>* matches) -> Status {
-    if (!x.is_tuple()) {
-      return Status::RuntimeError("join element not a tuple");
-    }
-    const Value* attr = x.FindField(key.attr);
-    if (attr == nullptr || !attr->is_set()) {
-      return Status::RuntimeError("membership attribute '" + key.attr +
-                                  "' is not a set");
-    }
-    std::unordered_map<const Value*, bool> seen;
-    wenv.Push(e.var(), x);
-    for (const Value& elem : attr->elements()) {
+  // Matches of left tuple i (bound in wenv): the table is probed once
+  // per element of its set attribute.
+  auto collect = [&](Evaluator& ev, Environment& wenv, MembershipFrame& f,
+                     size_t i, const Value& attr) -> Status {
+    const Value& x = probe[i];
+    for (const Value& elem : attr.elements()) {
       ++ev.stats_.hash_probes;
-      Value probe = elem;
+      const Value* probe_key = &elem;
+      Value k;
       if (key.elem_key != nullptr) {
-        if (jl.elem_key.ok()) {
-          Value* kv = jl.elem_key.Run(elem);
-          if (kv == nullptr) {
-            wenv.Pop();
-            return jl.elem_key.status();
-          }
-          probe = std::move(*kv);
-        } else {
-          if (jl.elem_key.fallback()) ++ev.stats_.interp_fallback_evals;
-          wenv.Push(key.elem_var, elem);
-          Result<Value> kv = ev.EvalNode(*key.elem_key, wenv);
-          wenv.Pop();
-          if (!kv.ok()) {
-            wenv.Pop();
-            return kv.status();
-          }
-          probe = std::move(*kv);
-        }
+        N2J_ASSIGN_OR_RETURN(
+            k, ev.JoinKey(f.jl.elem_key, elem_key, key.elem_var, elem, wenv));
+        probe_key = &k;
       }
-      auto it = table.find(probe);
-      if (it == table.end()) continue;
-      for (const Value* y : it->second) {
+      for (int32_t y = table.Probe(*probe_key); y != -1; y = table.Next(y)) {
         if (key.elem_key != nullptr) {
-          auto [_, inserted] = seen.try_emplace(y, true);
-          if (!inserted) continue;
+          size_t& seen = f.stamp[static_cast<size_t>(y)];
+          if (seen == i + 1) continue;
+          seen = i + 1;
         }
+        const Value& row = build[static_cast<size_t>(y)];
         if (!trivial_residual) {
-          ++ev.stats_.predicate_evals;
-          if (jl.residual.ok()) {
-            Value* p = jl.residual.Run(x, *y);
-            if (p == nullptr) {
-              wenv.Pop();
-              return jl.residual.status();
-            }
-            if (!p->is_bool()) {
-              wenv.Pop();
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (!p->bool_value()) continue;
-          } else {
-            if (jl.residual.fallback()) ++ev.stats_.interp_fallback_evals;
-            wenv.Push(e.var2(), *y);
-            Result<Value> p = ev.EvalNode(*residual, wenv);
-            wenv.Pop();
-            if (!p.ok()) {
-              wenv.Pop();
-              return p.status();
-            }
-            if (!p->is_bool()) {
-              wenv.Pop();
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (!p->bool_value()) continue;
-          }
+          N2J_ASSIGN_OR_RETURN(bool keep,
+                               ev.ResidualHolds(e, *residual, f.jl.residual,
+                                                x, row, wenv));
+          if (!keep) continue;
         }
-        matches->push_back(y);
+        f.matches.push_back(&row);
       }
     }
-    wenv.Pop();
     return Status::OK();
   };
 
-  if (opts_.num_threads > 1 && l.set_size() > 1) {
-    return ParallelMembershipProbe(e, l, env, compile_probe, probe_one);
-  }
-
-  JoinLambdas jl;
-  compile_probe(*this, env, &jl);
-  std::vector<Value> out;
-  for (const Value& x : l.elements()) {
-    ++stats_.tuples_scanned;
-    std::vector<const Value*> matches;
-    N2J_RETURN_IF_ERROR(probe_one(*this, env, x, jl, &matches));
-    N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, matches, env, &out, &jl.inner));
-  }
-  return Value::Set(std::move(out));
-}
-
-// Probe-side morsel parallelism: the build table is shared read-only;
-// each morsel probes its left-tuple range with a per-worker evaluator
-// and emits into its own output slot, concatenated in morsel order.
-Result<Value> Evaluator::ParallelMembershipProbe(
-    const Expr& e, const Value& l, Environment& env,
-    const std::function<void(Evaluator& worker, Environment& wenv,
-                             JoinLambdas* jl)>& compile_worker,
-    const std::function<Status(Evaluator& worker, Environment& wenv,
-                               const Value& x, JoinLambdas& jl,
-                               std::vector<const Value*>* matches)>&
-        probe_one) {
-  const std::vector<Value>& probe = l.elements();
-  ThreadPool& tp = pool();
-  tp.set_morsel_phase("membership/probe");
-  const int num_workers = tp.num_workers();
-  std::vector<std::unique_ptr<Evaluator>> workers = ForkWorkers(num_workers);
-  std::vector<Environment> envs(static_cast<size_t>(num_workers), env);
-  // Per-worker compiled frames (register frames and inline caches are
-  // single-consumer), built on the coordinating thread.
-  std::vector<JoinLambdas> jls(static_cast<size_t>(num_workers));
-  for (int w = 0; w < num_workers; ++w) {
-    compile_worker(*workers[static_cast<size_t>(w)],
-                   envs[static_cast<size_t>(w)],
-                   &jls[static_cast<size_t>(w)]);
-  }
-
-  size_t morsel_size = PickMorselSize(probe.size(), num_workers);
-  size_t num_morsels = NumMorsels(probe.size(), morsel_size);
-  std::vector<std::vector<Value>> outs(num_morsels);
-  Status s = tp.RunMorsels(num_morsels, [&](int w, size_t m) -> Status {
-    Evaluator& ev = *workers[static_cast<size_t>(w)];
-    Environment& wenv = envs[static_cast<size_t>(w)];
-    JoinLambdas& jl = jls[static_cast<size_t>(w)];
-    MorselRange range = MorselAt(probe.size(), morsel_size, m);
-    for (size_t i = range.begin; i < range.end; ++i) {
-      const Value& x = probe[i];
-      ++ev.stats_.tuples_scanned;
-      std::vector<const Value*> matches;
-      N2J_RETURN_IF_ERROR(probe_one(ev, wenv, x, jl, &matches));
-      N2J_RETURN_IF_ERROR(
-          ev.EmitJoinResult(e, x, matches, wenv, &outs[m], &jl.inner));
-    }
-    return Status::OK();
-  });
-  MergeWorkerStats(workers);
-  N2J_RETURN_IF_ERROR(s);
-
-  size_t total = 0;
-  for (const auto& o : outs) total += o.size();
-  std::vector<Value> out;
-  out.reserve(total);
-  for (auto& o : outs) {
-    for (Value& v : o) out.push_back(std::move(v));
-  }
-  return Value::Set(std::move(out));
+  Result<std::vector<Value>> out = DriveMorsels<MembershipFrame>(
+      probe.size(), "membership/probe", env, prepare,
+      [&](Evaluator& ev, Environment& wenv, MembershipFrame& f, size_t begin,
+          size_t end, std::vector<Value>* out) -> Status {
+        for (size_t i = begin; i < end; ++i) {
+          const Value& x = probe[i];
+          ++ev.stats_.tuples_scanned;
+          if (!x.is_tuple()) {
+            return Status::RuntimeError("join element not a tuple");
+          }
+          const Value* attr = x.FindField(key.attr);
+          if (attr == nullptr || !attr->is_set()) {
+            return Status::RuntimeError("membership attribute '" + key.attr +
+                                        "' is not a set");
+          }
+          f.matches.clear();
+          wenv.Push(e.var(), x);
+          Status s = collect(ev, wenv, f, i, *attr);
+          wenv.Pop();
+          N2J_RETURN_IF_ERROR(s);
+          N2J_RETURN_IF_ERROR(
+              ev.EmitJoinResult(e, x, f.matches, wenv, out, &f.jl.inner));
+        }
+        return Status::OK();
+      });
+  if (!out.ok()) return out.status();
+  return Value::Set(std::move(out).value());
 }
 
 }  // namespace n2j

@@ -62,26 +62,8 @@ Result<Value> Evaluator::SortMergeJoin(const Expr& e, const Value& l,
     out->reserve(operand.set_size());
     for (const Value& row : operand.elements()) {
       ++stats_.tuples_scanned;
-      if (key_cl.ok()) {
-        Value* k = key_cl.Run(row);
-        if (k == nullptr) return key_cl.status();
-        out->push_back({std::move(*k), &row});
-        continue;
-      }
-      if (key_cl.fallback()) ++stats_.interp_fallback_evals;
-      env.Push(var, row);
-      std::vector<Value> parts;
-      parts.reserve(key_exprs.size());
-      for (size_t i = 0; i < key_exprs.size(); ++i) {
-        Result<Value> kv = EvalNode(*key_exprs[i], env);
-        if (!kv.ok()) {
-          env.Pop();
-          return kv.status();
-        }
-        parts.push_back(std::move(*kv));
-      }
-      env.Pop();
-      out->push_back({JoinKeyFromParts(std::move(parts)), &row});
+      N2J_ASSIGN_OR_RETURN(Value k, JoinKey(key_cl, key_exprs, var, row, env));
+      out->push_back({std::move(k), &row});
     }
     stats_.rows_sorted += out->size();
     std::sort(out->begin(), out->end(),
@@ -126,36 +108,13 @@ Result<Value> Evaluator::SortMergeJoin(const Expr& e, const Value& l,
           for (size_t k = j; k < run_end; ++k) {
             matches.push_back(right[k].row);
           }
-        } else if (jl.residual.ok()) {
-          for (size_t k = j; k < run_end; ++k) {
-            ++stats_.predicate_evals;
-            Value* p = jl.residual.Run(x, *right[k].row);
-            if (p == nullptr) return jl.residual.status();
-            if (!p->is_bool()) {
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (p->bool_value()) matches.push_back(right[k].row);
-          }
         } else {
-          bool count_fallback = jl.residual.fallback();
-          env.Push(e.var(), x);
           for (size_t k = j; k < run_end; ++k) {
-            ++stats_.predicate_evals;
-            if (count_fallback) ++stats_.interp_fallback_evals;
-            env.Push(e.var2(), *right[k].row);
-            Result<Value> p = EvalNode(*residual, env);
-            env.Pop();
-            if (!p.ok()) {
-              env.Pop();
-              return p.status();
-            }
-            if (!p->is_bool()) {
-              env.Pop();
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (p->bool_value()) matches.push_back(right[k].row);
+            N2J_ASSIGN_OR_RETURN(bool keep,
+                                 ResidualHolds(e, *residual, jl.residual, x,
+                                               *right[k].row, env));
+            if (keep) matches.push_back(right[k].row);
           }
-          env.Pop();
         }
       }
       N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, matches, env, &out, &jl.inner));

@@ -5,6 +5,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "exec/bytecode.h"
+#include "exec/join_kernels.h"
 #include "obs/trace.h"
 
 namespace n2j {
@@ -90,8 +91,8 @@ Result<Value> PnhlJoin(const Value& outer, const Value& inner,
     FieldCursor inner_key_at;
     FieldCursor set_attr_at;
     FieldCursor elem_key_at;
-    std::unordered_map<Value, std::vector<size_t>, ValueHash> table;
-    table.reserve(seg_end - seg_begin);
+    std::vector<Value> keys;
+    keys.reserve(seg_end - seg_begin);
     for (size_t i = seg_begin; i < seg_end; ++i) {
       const Value* key = inner_key_at.Find(build[i], params.inner_key);
       if (key == nullptr) {
@@ -99,10 +100,11 @@ Result<Value> PnhlJoin(const Value& outer, const Value& inner,
                                        params.inner_key + "'");
       }
       ++sst.build_inserts;
-      table[*key].push_back(i);
+      keys.push_back(*key);
     }
-    if (table.size() > sst.peak_table_entries) {
-      sst.peak_table_entries = table.size();
+    const KeyTable table(keys);  // rows relative to seg_begin
+    if (table.distinct() > sst.peak_table_entries) {
+      sst.peak_table_entries = table.distinct();
     }
     // Probe the outer operand (its clustered set elements) against the
     // segment, producing partial results that are merged positionally.
@@ -119,12 +121,10 @@ Result<Value> PnhlJoin(const Value& outer, const Value& inner,
           return Status::InvalidArgument("set elements need key field '" +
                                          params.elem_key + "'");
         }
-        auto it = table.find(*key);
-        if (it == table.end()) continue;
-        for (size_t bi : it->second) {
+        for (int32_t r = table.Probe(*key); r != -1; r = table.Next(r)) {
           ++sst.matches;
-          partial[s][xi].push_back(
-              e.ConcatTuple(InnerPayload(build[bi], params)));
+          partial[s][xi].push_back(e.ConcatTuple(
+              InnerPayload(build[seg_begin + static_cast<size_t>(r)], params)));
         }
       }
     }
@@ -188,17 +188,19 @@ Result<Value> UnnestJoinNest(const Value& outer, const Value& inner,
   st = PnhlStats();
 
   // Build a hash table over the whole inner table.
-  std::unordered_map<Value, std::vector<const Value*>, ValueHash> table;
-  table.reserve(inner.set_size());
-  for (const Value& t : inner.elements()) {
+  const std::vector<Value>& build = inner.elements();
+  std::vector<Value> keys;
+  keys.reserve(build.size());
+  for (const Value& t : build) {
     const Value* key = t.FindField(params.inner_key);
     if (key == nullptr) {
       return Status::InvalidArgument("inner tuples need key field '" +
                                      params.inner_key + "'");
     }
     ++st.build_inserts;
-    table[*key].push_back(&t);
+    keys.push_back(*key);
   }
+  const KeyTable table(keys);
 
   // Unnest + probe: every (x, element) pair carries a full copy of x's
   // flat attributes — this duplication is the cost the paper's
@@ -221,12 +223,10 @@ Result<Value> UnnestJoinNest(const Value& outer, const Value& inner,
         return Status::InvalidArgument("set elements need key field '" +
                                        params.elem_key + "'");
       }
-      auto hit = table.find(*ekey);
-      if (hit == table.end()) continue;
-      for (const Value* t : hit->second) {
+      for (int32_t r = table.Probe(*ekey); r != -1; r = table.Next(r)) {
         ++st.matches;
-        groups[key].push_back(
-            e.ConcatTuple(InnerPayload(*t, params)));
+        groups[key].push_back(e.ConcatTuple(
+            InnerPayload(build[static_cast<size_t>(r)], params)));
         if (!keep_dangling && groups[key].size() == 1) {
           order.push_back(&x);
         }

@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <iterator>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "adl/analysis.h"
@@ -479,7 +478,7 @@ Result<std::optional<Rel>> ShredExecutor::TryJoinExpand(
   }
 
   const bool sort_merge = opts_.join_algorithm == JoinAlgorithm::kSortMerge;
-  std::unordered_map<Value, std::vector<uint32_t>, ValueHash> buckets;
+  KeyTable table;
   std::vector<std::pair<Value, uint32_t>> sorted;
   if (sort_merge) {
     sorted.reserve(keys.size());
@@ -493,10 +492,7 @@ Result<std::optional<Rel>> ShredExecutor::TryJoinExpand(
     inner_.stats().rows_sorted += sorted.size();
     ++inner_.stats().joins_sortmerge;
   } else {
-    buckets.reserve(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      buckets[keys[i]].push_back(static_cast<uint32_t>(i));
-    }
+    table = KeyTable(keys);
     ++inner_.stats().joins_hash;
   }
   inner_.stats().hash_inserts += keys.size();
@@ -505,7 +501,7 @@ Result<std::optional<Rel>> ShredExecutor::TryJoinExpand(
     opts_.trace->AnnotateOpen(StrFormat(
         " %s keys=%zu residual=%zu", sort_merge ? "sortmerge" : "hash",
         scan_keys.size(), residual.size()));
-    opts_.trace->NotePeakHash(sort_merge ? sorted.size() : buckets.size());
+    opts_.trace->NotePeakHash(sort_merge ? sorted.size() : table.distinct());
   }
 
   Rel out = Skeleton(work, r, columnar);
@@ -540,7 +536,7 @@ Result<std::optional<Rel>> ShredExecutor::TryJoinExpand(
           MorselRange rg = MorselAt(nrows, morsel, m);
           bool ab = false;
           Status st = ProbeRows(ev, r, work, elems, split, sort_merge,
-                                &buckets, &sorted, rg.begin, rg.end,
+                                table, sorted, rg.begin, rg.end,
                                 &slots[m], &ab);
           deltas[m] = ev.stats();
           deltas[m].Subtract(before);
@@ -573,7 +569,7 @@ Result<std::optional<Rel>> ShredExecutor::TryJoinExpand(
 
   bool abandoned = false;
   N2J_RETURN_IF_ERROR(ProbeRows(inner_, r, work, elems, split, sort_merge,
-                                &buckets, &sorted, 0, nrows, &out,
+                                table, sorted, 0, nrows, &out,
                                 &abandoned));
   if (abandoned) return std::optional<Rel>();
   return std::optional<Rel>(std::move(out));
@@ -582,13 +578,14 @@ Result<std::optional<Rel>> ShredExecutor::TryJoinExpand(
 Status ShredExecutor::ProbeRows(
     Evaluator& ev, const RangeSpec& r, const Rel& work,
     const std::vector<Value>& elems, const EquiSplit& split, bool sort_merge,
-    const std::unordered_map<Value, std::vector<uint32_t>, ValueHash>* buckets,
-    const std::vector<std::pair<Value, uint32_t>>* sorted, size_t row_begin,
+    const KeyTable& table,
+    const std::vector<std::pair<Value, uint32_t>>& sorted, size_t row_begin,
     size_t row_end, Rel* out, bool* abandoned) {
   const std::vector<ExprPtr>& probe_keys = split.probe_keys;
   const std::vector<ExprPtr>& residual = split.residual;
   Environment env;
   std::vector<Value> parts(probe_keys.size());
+  std::vector<uint32_t> cands;
   for (size_t row = row_begin; row < row_end; ++row) {
     PushRow(&env, work, row);
     bool failed = false;
@@ -608,31 +605,25 @@ Status ShredExecutor::ProbeRows(
     Value key = JoinKeyFromParts(parts);
     ++ev.stats().hash_probes;
 
-    const uint32_t* cand = nullptr;
-    size_t ncand = 0;
-    std::vector<uint32_t> range_cands;
+    cands.clear();
     if (sort_merge) {
-      auto lo = std::lower_bound(sorted->begin(), sorted->end(), key,
+      auto lo = std::lower_bound(sorted.begin(), sorted.end(), key,
                                  [](const auto& p, const Value& k) {
                                    return p.first.Compare(k) < 0;
                                  });
-      auto hi = std::upper_bound(lo, sorted->end(), key,
+      auto hi = std::upper_bound(lo, sorted.end(), key,
                                  [](const Value& k, const auto& p) {
                                    return k.Compare(p.first) < 0;
                                  });
-      for (auto it = lo; it != hi; ++it) range_cands.push_back(it->second);
-      cand = range_cands.data();
-      ncand = range_cands.size();
+      for (auto it = lo; it != hi; ++it) cands.push_back(it->second);
     } else {
-      auto it = buckets->find(key);
-      if (it != buckets->end()) {
-        cand = it->second.data();
-        ncand = it->second.size();
+      for (int32_t e = table.Probe(key); e != -1; e = table.Next(e)) {
+        cands.push_back(static_cast<uint32_t>(e));
       }
     }
 
-    for (size_t ci = 0; ci < ncand; ++ci) {
-      const Value& elem = elems[cand[ci]];
+    for (uint32_t c : cands) {
+      const Value& elem = elems[c];
       bool pass = true;
       if (!residual.empty()) {
         // Residual conjuncts run in source order with short-circuit —
@@ -660,7 +651,7 @@ Status ShredExecutor::ProbeRows(
         }
         env.Pop();
       }
-      if (pass) Emit(work, row, elem, cand[ci], out);
+      if (pass) Emit(work, row, elem, c, out);
     }
     PopRow(&env, work);
   }

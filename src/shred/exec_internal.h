@@ -15,7 +15,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "exec/eval.h"
+#include "exec/join_kernels.h"
 #include "obs/trace.h"
 #include "shred/shred.h"
 #include "storage/columnar.h"
@@ -166,10 +166,8 @@ class ShredExecutor {
   /// the interpreter's behavior exactly. Residual errors propagate.
   Status ProbeRows(Evaluator& ev, const RangeSpec& r, const Rel& work,
                    const std::vector<Value>& elems, const EquiSplit& split,
-                   bool sort_merge,
-                   const std::unordered_map<Value, std::vector<uint32_t>,
-                                            ValueHash>* buckets,
-                   const std::vector<std::pair<Value, uint32_t>>* sorted,
+                   bool sort_merge, const KeyTable& table,
+                   const std::vector<std::pair<Value, uint32_t>>& sorted,
                    size_t row_begin, size_t row_end, Rel* out,
                    bool* abandoned);
   /// Runs `body(worker_delegate, row_begin, row_end, slot)` over morsels

@@ -11,14 +11,11 @@
 // relation in exactly the scalar engine's lexicographic row order and
 // the context column stays non-decreasing for single-pass stitching.
 //
-// Equi-join ranges build their hash table once over the whole element
-// domain (whole-column key extraction when the projection has the key
-// field), then probe a key column per batch. All-int / all-oid key
-// domains use a contiguous open-addressing table of raw uint64 keys
-// with software prefetch between the hash and probe passes; anything
-// else (or an int domain probed by doubles, where int/double compare
-// numerically) uses Value buckets — the same candidates the scalar
-// engine's join produces, in the same survivor set.
+// Equi-join ranges build one KeyTable (exec/join_kernels.h) over the
+// whole element domain (whole-column key extraction when the projection
+// has the key field), then probe it with a key column per batch through
+// the kernel's two-pass batch probe — the same table and candidates the
+// scalar engine's join produces, in the same survivor set.
 //
 // Fidelity: every evaluation this engine performs, the scalar engine
 // also performs unless it errors even earlier. So ANY error here makes
@@ -32,7 +29,6 @@
 #include <mutex>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "adl/analysis.h"
@@ -86,58 +82,6 @@ struct CandChunk {
   }
 };
 
-// Open-addressing table over raw uint64 join keys (all-int or all-oid
-// build domains): contiguous key/head slots, chains threaded through a
-// per-element `next` array in ascending element order.
-struct RawKeyTable {
-  std::vector<uint64_t> slot_key;
-  std::vector<int32_t> slot_head;  // -1 = empty slot
-  std::vector<int32_t> next;       // -1 = end of chain
-  uint64_t mask = 0;
-  size_t distinct = 0;
-
-  static uint64_t Mix(uint64_t k) {
-    // splitmix64 finalizer
-    k += 0x9e3779b97f4a7c15ull;
-    k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ull;
-    k = (k ^ (k >> 27)) * 0x94d049bb133111ebull;
-    return k ^ (k >> 31);
-  }
-
-  void Build(const std::vector<uint64_t>& keys) {
-    size_t cap = 16;
-    while (cap < keys.size() * 2) cap <<= 1;
-    slot_key.assign(cap, 0);
-    slot_head.assign(cap, -1);
-    next.assign(keys.size(), -1);
-    mask = cap - 1;
-    // Reverse insertion order + prepend = ascending chains, so probes
-    // emit candidates in the scalar engine's bucket order.
-    for (size_t i = keys.size(); i-- > 0;) {
-      uint64_t slot = Mix(keys[i]) & mask;
-      while (slot_head[slot] != -1 && slot_key[slot] != keys[i]) {
-        slot = (slot + 1) & mask;
-      }
-      if (slot_head[slot] == -1) {
-        slot_key[slot] = keys[i];
-        ++distinct;
-      }
-      next[i] = slot_head[slot];
-      slot_head[slot] = static_cast<int32_t>(i);
-    }
-  }
-
-  uint64_t StartSlot(uint64_t k) const { return Mix(k) & mask; }
-
-  int32_t FindFrom(uint64_t slot, uint64_t k) const {
-    while (slot_head[slot] != -1) {
-      if (slot_key[slot] == k) return slot_head[slot];
-      slot = (slot + 1) & mask;
-    }
-    return -1;
-  }
-};
-
 // Per-range state of the pipeline.
 struct VecLevel {
   const RangeSpec* r = nullptr;
@@ -165,9 +109,9 @@ struct VecLevel {
   bool has_source = false;  // kMaterialized source (lane frag compiled)
 
   // Batch hash join (kShared with equi-keys only). The build state below
-  // is shared across worker lanes; lazy pieces (hash_decided / hash_ok /
-  // buckets_ready and what they guard) are written only under the
-  // pipeline mutex by whichever lane arrives first.
+  // is shared across worker lanes; hash_decided / hash_ok and the table
+  // are written only under the pipeline mutex by whichever lane arrives
+  // first, and the table is read-only once built.
   bool try_hash = false;
   bool hash_decided = false;
   bool hash_ok = false;
@@ -176,15 +120,7 @@ struct VecLevel {
   bool has_scan_key = false;  // key_col missed: lanes carry a scan_key frag
   bool has_residual = false;
   const std::vector<Value>* key_col = nullptr;  // whole-column fast path
-
-  enum KeyMode { kGeneric, kIntKeys, kOidKeys };
-  KeyMode key_mode = kGeneric;
-  const std::vector<Value>* keys_view = nullptr;
-  std::vector<Value> keys_own;
-  std::vector<uint64_t> raw_keys;
-  RawKeyTable raw;
-  bool buckets_ready = false;
-  std::unordered_map<Value, std::vector<uint32_t>, ValueHash> buckets;
+  KeyTable table;
 };
 
 // The compiled fragments of one range level, owned by one lane (below).
@@ -205,10 +141,7 @@ struct VecLane {
   Evaluator* ev = nullptr;
   std::vector<LaneLevel> lv;
   std::map<const OutputSpec*, Frag> out_frags;
-  // Probe-pass scratch, reused across batches.
-  std::vector<uint64_t> probe_u64;
-  std::vector<uint64_t> probe_slot;
-  std::vector<uint8_t> probe_cls;
+  KeyTable::BatchScratch probe_scratch;
   EvalStats& stats() { return ev->stats(); }
 };
 
@@ -430,8 +363,6 @@ class VecPipeline {
                     Frag* pred, VBatch* sink);
   Status EnsureShared(VecLane& ln, size_t j, VecLevel& lvl, const VBatch& b);
   void EnsureBuild(VecLane& ln, size_t j, VecLevel& lvl, bool allow_trace);
-  void EnsureBuckets(VecLevel& lvl);
-  void EnsureBucketsLocked(VecLevel& lvl);
   Status HashExpand(VecLane& ln, size_t j, VecLevel& lvl, const VBatch& b,
                     VBatch* sink);
   Status NLExpand(VecLane& ln, size_t j, VecLevel& lvl, const VBatch& b,
@@ -454,8 +385,8 @@ class VecPipeline {
   std::vector<VecLane> wl_;  // worker lanes, compiled only under mt_
   bool mt_ = false;
   // Guards every lazily-built piece of shared level state: constant-set
-  // element bases, hash builds, Value buckets. One mutex for the whole
-  // pipeline — lazy inits are per-level one-shots, not hot paths.
+  // element bases and hash builds. One mutex for the whole pipeline —
+  // lazy inits are per-level one-shots, not hot paths.
   std::mutex mu_;
   VBatch final_;
 };
@@ -671,21 +602,6 @@ Status VecPipeline::EnsureShared(VecLane& ln, size_t j, VecLevel& lvl,
   return Status::OK();
 }
 
-void VecPipeline::EnsureBuckets(VecLevel& lvl) {
-  std::lock_guard<std::mutex> lock(mu_);
-  EnsureBucketsLocked(lvl);
-}
-
-void VecPipeline::EnsureBucketsLocked(VecLevel& lvl) {
-  if (lvl.buckets_ready) return;
-  const std::vector<Value>& keys = *lvl.keys_view;
-  lvl.buckets.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    lvl.buckets[keys[i]].push_back(static_cast<uint32_t>(i));
-  }
-  lvl.buckets_ready = true;
-}
-
 void VecPipeline::EnsureBuild(VecLane& ln, size_t j, VecLevel& lvl,
                               bool allow_trace) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -693,13 +609,12 @@ void VecPipeline::EnsureBuild(VecLane& ln, size_t j, VecLevel& lvl,
   lvl.hash_decided = true;
   const std::vector<Value>& base = *lvl.shared;
   const size_t n = base.size();
-  if (lvl.key_col != nullptr) {
-    lvl.keys_view = lvl.key_col;
-  } else {
+  std::vector<Value> keys_own;
+  if (lvl.key_col == nullptr) {
     // Key evaluation may touch elements the predicate would have
     // short-circuited past, so any error abandons the join — the fused
     // nested-loop path reproduces the scalar engine's behavior exactly.
-    lvl.keys_own.reserve(n);
+    keys_own.reserve(n);
     Frag& sk = ln.lv[j].scan_key;
     for (size_t lo = 0; lo < n; lo += batch_) {
       const size_t m = std::min(batch_, n - lo);
@@ -708,35 +623,10 @@ void VecPipeline::EnsureBuild(VecLane& ln, size_t j, VecLevel& lvl,
       for (size_t t = 0; t < m; ++t) col[t] = base[lo + t];
       if (!sk.prog.vm().Run(m)) return;  // hash_ok stays false
       std::vector<Value>& res = sk.prog.vm().ResultColumn();
-      for (size_t t = 0; t < m; ++t) {
-        lvl.keys_own.push_back(std::move(res[t]));
-      }
+      for (size_t t = 0; t < m; ++t) keys_own.push_back(std::move(res[t]));
     }
-    lvl.keys_view = &lvl.keys_own;
   }
-
-  const std::vector<Value>& keys = *lvl.keys_view;
-  bool all_int = true, all_oid = true;
-  for (const Value& k : keys) {
-    all_int = all_int && k.is_int();
-    all_oid = all_oid && k.is_oid();
-    if (!all_int && !all_oid) break;
-  }
-  size_t table_size;
-  if ((all_int || all_oid) && !keys.empty()) {
-    lvl.key_mode = all_int ? VecLevel::kIntKeys : VecLevel::kOidKeys;
-    lvl.raw_keys.reserve(keys.size());
-    for (const Value& k : keys) {
-      lvl.raw_keys.push_back(all_int ? static_cast<uint64_t>(k.int_value())
-                                     : k.oid_value());
-    }
-    lvl.raw.Build(lvl.raw_keys);
-    table_size = lvl.raw.distinct;
-  } else {
-    lvl.key_mode = VecLevel::kGeneric;
-    EnsureBucketsLocked(lvl);
-    table_size = lvl.buckets.size();
-  }
+  lvl.table = KeyTable(lvl.key_col != nullptr ? *lvl.key_col : keys_own);
 
   ln.stats().joins_hash += 1;
   ln.stats().hash_inserts += n;
@@ -749,7 +639,7 @@ void VecPipeline::EnsureBuild(VecLane& ln, size_t j, VecLevel& lvl,
     ex_.opts().trace->AnnotateOpen(
         StrFormat(" vec-hash keys=%zu residual=%zu",
                   lvl.split.scan_keys.size(), lvl.split.residual.size()));
-    ex_.opts().trace->NotePeakHash(table_size);
+    ex_.opts().trace->NotePeakHash(lvl.table.distinct());
   }
   lvl.hash_ok = true;
 }
@@ -782,63 +672,10 @@ Status VecPipeline::HashExpand(VecLane& ln, size_t j, VecLevel& lvl,
     return Status::OK();
   };
 
-  if (lvl.key_mode != VecLevel::kGeneric) {
-    // Two passes: hash every lane's key and prefetch its slot line,
-    // then walk the chains. cls: 0 = no match possible, 1 = raw probe,
-    // 2 = Value buckets (int domain probed by a double — int/double
-    // compare numerically, so raw equality would miss).
-    ln.probe_u64.resize(b.n);
-    ln.probe_slot.resize(b.n);
-    ln.probe_cls.resize(b.n);
-    const bool int_mode = lvl.key_mode == VecLevel::kIntKeys;
-    for (size_t i = 0; i < b.n; ++i) {
-      const Value& v = kc[i];
-      uint8_t cls = 0;
-      if (int_mode && v.is_int()) {
-        ln.probe_u64[i] = static_cast<uint64_t>(v.int_value());
-        cls = 1;
-      } else if (!int_mode && v.is_oid()) {
-        ln.probe_u64[i] = v.oid_value();
-        cls = 1;
-      } else if (int_mode && v.is_double()) {
-        cls = 2;
-      }
-      ln.probe_cls[i] = cls;
-      if (cls == 1) {
-        ln.probe_slot[i] = lvl.raw.StartSlot(ln.probe_u64[i]);
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(&lvl.raw.slot_key[ln.probe_slot[i]]);
-        __builtin_prefetch(&lvl.raw.slot_head[ln.probe_slot[i]]);
-#endif
-      }
-    }
-    for (size_t i = 0; i < b.n; ++i) {
-      if (ln.probe_cls[i] == 1) {
-        for (int32_t e = lvl.raw.FindFrom(ln.probe_slot[i], ln.probe_u64[i]);
-             e != -1; e = lvl.raw.next[static_cast<size_t>(e)]) {
-          N2J_RETURN_IF_ERROR(
-              add(static_cast<uint32_t>(i), static_cast<uint32_t>(e)));
-        }
-      } else if (ln.probe_cls[i] == 2) {
-        EnsureBuckets(lvl);
-        auto it = lvl.buckets.find(kc[i]);
-        if (it != lvl.buckets.end()) {
-          for (uint32_t e : it->second) {
-            N2J_RETURN_IF_ERROR(add(static_cast<uint32_t>(i), e));
-          }
-        }
-      }
-    }
-  } else {
-    for (size_t i = 0; i < b.n; ++i) {
-      auto it = lvl.buckets.find(kc[i]);
-      if (it != lvl.buckets.end()) {
-        for (uint32_t e : it->second) {
-          N2J_RETURN_IF_ERROR(add(static_cast<uint32_t>(i), e));
-        }
-      }
-    }
-  }
+  N2J_RETURN_IF_ERROR(lvl.table.ProbeBatch(
+      kc.data(), b.n, &ln.probe_scratch, [&](size_t i, int32_t e) {
+        return add(static_cast<uint32_t>(i), static_cast<uint32_t>(e));
+      }));
   return FlushChunk(ln, j, b, chunk, res_pred, sink);
 }
 

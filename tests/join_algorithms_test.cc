@@ -238,6 +238,48 @@ TEST_F(JoinAlgorithmsTest, MembershipJoinHandlesResidualConjuncts) {
   EXPECT_GT(ev.stats().predicate_evals, 0u);  // residual evaluated
 }
 
+TEST_F(JoinAlgorithmsTest, MembershipElementKeysVisitEachRightTupleOnce) {
+  // ∃v ∈ x.c · (v.d >= 0) = (y.e >= 0): every element of x.c has the
+  // same key, so the probes reach each right tuple once per element. A
+  // right tuple still counts once per left tuple — its residual
+  // evaluates once — at every thread count.
+  auto nonneg = [](ExprPtr e) {
+    return Expr::Bin(BinOp::kGe, std::move(e), Expr::Const(Value::Int(0)));
+  };
+  ExprPtr pred = Expr::And(
+      Expr::Quant(QuantKind::kExists, "v", Expr::Access(Expr::Var("x"), "c"),
+                  Expr::Eq(nonneg(Expr::Access(Expr::Var("v"), "d")),
+                           nonneg(Expr::Access(Expr::Var("y"), "e")))),
+      Expr::Bin(BinOp::kGe, Expr::Access(Expr::Var("y"), "a"),
+                Expr::Access(Expr::Var("x"), "a")));
+  uint64_t nonempty = 0;
+  for (const Value& x : EvalExpr(*db_, Expr::Table("X")).elements()) {
+    if (x.FindField("c")->set_size() > 0) ++nonempty;
+  }
+  const uint64_t ny = EvalExpr(*db_, Expr::Table("Y")).set_size();
+  for (bool nest : {false, true}) {
+    ExprPtr join =
+        nest ? Expr::NestJoin(Expr::Table("X"), Expr::Table("Y"), "x", "y",
+                              pred, "ys")
+             : Expr::SemiJoin(Expr::Table("X"), Expr::Table("Y"), "x", "y",
+                              pred);
+    EvalOptions nl;
+    nl.use_hash_joins = false;
+    Value expected = EvalExpr(*db_, join, nl);
+    for (int threads : {1, 4}) {
+      EvalOptions opts;
+      opts.num_threads = threads;
+      Evaluator ev(*db_, opts);
+      Result<Value> actual = ev.Eval(join);
+      ASSERT_TRUE(actual.ok()) << nest << " " << threads;
+      EXPECT_EQ(expected, *actual) << nest << " " << threads;
+      EXPECT_EQ(ev.stats().joins_membership, 1u);
+      EXPECT_EQ(ev.stats().predicate_evals, nonempty * ny)
+          << nest << " " << threads;
+    }
+  }
+}
+
 TEST_F(JoinAlgorithmsTest, NonEquiPredicatesFallBackEverywhere) {
   ExprPtr pred = Expr::Bin(BinOp::kLt, Expr::Access(Expr::Var("x"), "a"),
                            Expr::Access(Expr::Var("y"), "e"));
